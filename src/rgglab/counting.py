@@ -1,10 +1,9 @@
 """Subgraph counting curves over an ascending radius grid.
 
-``count_subgraphs`` drives the grid-bucket engine: candidate k-subsets are
-enumerated only among points whose mutual connectivity graph at the largest
-grid radius is connected (a connected geometric graph on k vertices has
-diameter at most (k-1) cells), and each candidate is classified once per
-grid point through the cached canonical-form table.
+``count_subgraphs`` drives the engine: candidate k-subsets are enumerated
+only among points whose geometric graph at the largest grid radius (built by
+a k-d tree pair search) is connected, and each candidate is classified once
+per grid point through the cached canonical-form table.
 
 ``count_subgraphs_exhaustive`` is the independent oracle: it enumerates every
 k-subset of the cloud, applies the filters directly, and classifies through

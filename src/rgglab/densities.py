@@ -43,6 +43,7 @@ def unit_ball_volume(d: int) -> float:
 _TABLE_SIZE = 4096
 _TABLE_TAIL = 1e-12          # tabulate the inverse CDF out to this tail mass
 _RESIDUAL_W = 1e-18          # truncate ratio integrands below this weight
+_TAIL_CACHE_SIZE = 256       # memoized tail integrals kept per density
 
 
 @dataclass
@@ -74,6 +75,7 @@ class RadialDensity:
         self.C = self._normalize()
         self._full_inverse: _InverseCdf | None = None
         self._exterior_cache: dict[float, tuple[_InverseCdf, float]] = {}
+        self._tail_integral_cache: dict[float, float] = {}
 
     # -- profile (overridden) ------------------------------------------------
     def _g(self, r):
@@ -119,7 +121,14 @@ class RadialDensity:
 
     # -- tail ----------------------------------------------------------------
     def _tail_ratio_integral(self, R: float) -> float:
-        """T = int_0^inf (1 + v/R)^{d-1} g(R+v)/g(R) dv (well scaled)."""
+        """T = int_0^inf (1 + v/R)^{d-1} g(R+v)/g(R) dv (well scaled), memoized per R.
+
+        Worker threads share the memo: a value is stored only once complete,
+        so a race at worst recomputes it.
+        """
+        cached = self._tail_integral_cache.get(R)
+        if cached is not None:
+            return cached
         logg_R = float(self._log_g(R))
 
         def w(v):
@@ -133,6 +142,9 @@ class RadialDensity:
         for a, b in zip(cuts[:-1], cuts[1:]):
             seg, _ = integrate.quad(w, a, b, limit=100)
             total += seg
+        if len(self._tail_integral_cache) > _TAIL_CACHE_SIZE:
+            self._tail_integral_cache.clear()
+        self._tail_integral_cache[R] = total
         return total
 
     def _delta_hi(self, R: float) -> float:

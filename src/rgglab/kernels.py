@@ -1,225 +1,54 @@
-"""Hot numeric kernels: grid-bucket neighbor search, connected k-subset
+"""Hot numeric kernels: fixed-radius adjacency, connected k-subset
 enumeration with per-subset curve accumulation, and cube-occupancy coverage.
 
-Each kernel has a numba ``@njit`` implementation and a pure-numpy fallback.
-Set ``RGGLAB_DISABLE_NUMBA=1`` to force the fallback; the benchmark in
-``benchmarks/bench_kernels.py`` times the two paths against each other.
-Both paths produce bit-identical counts: accumulation is exact integer
-arithmetic and does not depend on enumeration order.
+There is one path per kernel, built on numpy and ``scipy.spatial``.  The
+adjacency comes from a k-d tree pair search (``cKDTree.query_pairs``) and
+keeps a pair iff ``sqrt(d2) <= radius``, the rule the curve classifier and
+the exhaustive oracle use, so pairs at exactly the radius are never lost.
+Accumulation is exact integer arithmetic and does not depend on enumeration
+order.  ``python3 perfbench/run.py`` times these kernels in context.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.spatial import cKDTree
 
+# query slightly beyond the radius so the tree's own rounding cannot drop a
+# pair at exactly ``radius``; the exact keep rule then decides
+_QUERY_SLACK = 1e-9
+# candidates classified per vectorized batch (bounds the (M, P, T) temporaries)
+_CHUNK = 1 << 14
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("RGGLAB_DISABLE_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay importable
-        pass
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # noqa: D103
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# cell hashing helpers (shared by both paths)
-# ---------------------------------------------------------------------------
 
 def _cell_coords(points: np.ndarray, side: float) -> np.ndarray:
     return np.floor(points / side).astype(np.int64)
 
 
-def _neighbor_offsets(d: int) -> np.ndarray:
-    """All 3^d integer offsets in {-1,0,1}^d."""
-    grids = np.meshgrid(*([np.array([-1, 0, 1], dtype=np.int64)] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-_HASH_MULT = np.array(
-    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
-     0x27D4EB2F165667C5, 0x85EBCA77C2B2AE63, 0xFF51AFD7ED558CCD,
-     0xC4CEB9FE1A85EC53, 0x2545F4914F6CDD1D],
-    dtype=np.uint64,
-)
-
-
-def _hash_cells(cells: np.ndarray) -> np.ndarray:
-    """Mixed uint64 hash per cell row; collisions only cost extra distance checks."""
-    d = cells.shape[1]
-    h = np.zeros(cells.shape[0], dtype=np.uint64)
-    for axis in range(d):
-        h += cells[:, axis].astype(np.uint64) * _HASH_MULT[axis % len(_HASH_MULT)]
-    return h
-
-
 # ---------------------------------------------------------------------------
-# adjacency at a fixed radius (grid buckets, cell side = radius)
+# adjacency at a fixed radius (k-d tree pair search)
 # ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _adjacency_numba(points, cells, order, sorted_hash, offsets, mults, radius):
-    n, d = points.shape
-    n_off = offsets.shape[0]
-    r2 = radius * radius
-    degree = np.zeros(n, dtype=np.int64)
-    # pass 1: count
-    for p in range(n):
-        for o in range(n_off):
-            h = np.uint64(0)
-            for axis in range(d):
-                h += np.uint64(cells[p, axis] + offsets[o, axis]) * mults[axis]
-            lo, hi = 0, sorted_hash.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sorted_hash[mid] < h:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            start = lo
-            hi = sorted_hash.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sorted_hash[mid] <= h:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for s in range(start, lo):
-                q = order[s]
-                if q == p:
-                    continue
-                ok = True
-                for axis in range(d):
-                    if cells[q, axis] != cells[p, axis] + offsets[o, axis]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                dist2 = 0.0
-                for axis in range(d):
-                    diff = points[p, axis] - points[q, axis]
-                    dist2 += diff * diff
-                if dist2 <= r2:
-                    degree[p] += 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for p in range(n):
-        indptr[p + 1] = indptr[p] + degree[p]
-    indices = np.empty(indptr[n], dtype=np.int64)
-    fill = indptr[:-1].copy()
-    # pass 2: fill
-    for p in range(n):
-        for o in range(n_off):
-            h = np.uint64(0)
-            for axis in range(d):
-                h += np.uint64(cells[p, axis] + offsets[o, axis]) * mults[axis]
-            lo, hi = 0, sorted_hash.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sorted_hash[mid] < h:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            start = lo
-            hi = sorted_hash.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if sorted_hash[mid] <= h:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            for s in range(start, lo):
-                q = order[s]
-                if q == p:
-                    continue
-                ok = True
-                for axis in range(d):
-                    if cells[q, axis] != cells[p, axis] + offsets[o, axis]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                dist2 = 0.0
-                for axis in range(d):
-                    diff = points[p, axis] - points[q, axis]
-                    dist2 += diff * diff
-                if dist2 <= r2:
-                    indices[fill[p]] = q
-                    fill[p] += 1
-    # sort each neighbor list for deterministic layout
-    for p in range(n):
-        a, b = indptr[p], indptr[p + 1]
-        for i in range(a + 1, b):
-            key = indices[i]
-            j = i - 1
-            while j >= a and indices[j] > key:
-                indices[j + 1] = indices[j]
-                j -= 1
-            indices[j + 1] = key
-    return indptr, indices
-
-
-def _adjacency_numpy(points, cells, radius):
-    n, d = points.shape
-    cell_map: dict[tuple, np.ndarray] = {}
-    keys = [tuple(row) for row in cells]
-    buckets: dict[tuple, list[int]] = {}
-    for idx, key in enumerate(keys):
-        buckets.setdefault(key, []).append(idx)
-    cell_map = {key: np.array(v, dtype=np.int64) for key, v in buckets.items()}
-    offsets = _neighbor_offsets(d)
-    nbrs: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    for key, members in cell_map.items():
-        cand_parts = []
-        for off in offsets:
-            other = cell_map.get(tuple(np.asarray(key) + off))
-            if other is not None:
-                cand_parts.append(other)
-        cand = np.concatenate(cand_parts)
-        diff = points[members][:, None, :] - points[cand][None, :, :]
-        close = (diff * diff).sum(axis=2) <= radius * radius
-        for row, p in enumerate(members):
-            sel = cand[close[row]]
-            nbrs[p] = np.sort(sel[sel != p])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for p in range(n):
-        indptr[p + 1] = indptr[p] + len(nbrs[p])
-    indices = np.concatenate(nbrs) if n else np.empty(0, dtype=np.int64)
-    return indptr, indices.astype(np.int64)
-
 
 def build_adjacency(points: np.ndarray, radius: float):
-    """CSR adjacency (indptr, indices) of the geometric graph at ``radius``."""
+    """CSR adjacency (indptr, indices) of the geometric graph at ``radius``.
+
+    Pair {p, q} is an edge iff ``sqrt(|p - q|^2) <= radius``; each row lists
+    its neighbours in ascending order.
+    """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    n, d = points.shape
+    n = points.shape[0]
     if n == 0 or radius <= 0:
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    cells = _cell_coords(points, radius)
-    if NUMBA_ENABLED:
-        hashes = _hash_cells(cells)
-        order = np.argsort(hashes, kind="stable")
-        mults = _HASH_MULT[:d].copy() if d <= len(_HASH_MULT) else np.resize(_HASH_MULT, d)
-        return _adjacency_numba(
-            points, cells, order, hashes[order], _neighbor_offsets(d), mults, float(radius)
-        )
-    return _adjacency_numpy(points, cells, float(radius))
+    pairs = cKDTree(points).query_pairs(radius * (1.0 + _QUERY_SLACK), output_type="ndarray")
+    diff = points[pairs[:, 0]] - points[pairs[:, 1]]
+    pairs = pairs[np.sqrt((diff * diff).sum(axis=1)) <= radius].astype(np.int64, copy=False)
+    p, q = pairs[:, 0], pairs[:, 1]
+    # both directions of every edge as the flat key row * n + column: sorting
+    # the keys lays the rows out in order, each with its neighbours ascending
+    keys = np.sort(np.concatenate([p * n + q, q * n + p]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=n) + np.bincount(q, minlength=n), out=indptr[1:])
+    return indptr, keys % n
 
 
 # ---------------------------------------------------------------------------
@@ -227,138 +56,11 @@ def build_adjacency(points: np.ndarray, radius: float):
 # ---------------------------------------------------------------------------
 # ESU (exclusive-neighborhood) enumeration: every vertex set whose induced
 # graph at radius t_max is connected is visited exactly once.  Each candidate
-# is classified across the whole ascending t-grid by inserting edges in
-# appearance order and reading the class table at each grid point.
-
-@njit(cache=True, nogil=True)
-def _process_candidate(sub, points, norms, t_grid, k, ann_lo, ann_hi,
-                       class_table, shape_cid, shape_edges, pair_bits, out):
-    T = t_grid.shape[0]
-    P = k * (k - 1) // 2
-    mx = norms[sub[0]]
-    for a in range(1, k):
-        if norms[sub[a]] > mx:
-            mx = norms[sub[a]]
-    if not (ann_lo <= mx < ann_hi):
-        return
-    gidx = np.empty(P, dtype=np.int64)
-    bits = np.empty(P, dtype=np.int64)
-    p = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            dist2 = 0.0
-            for axis in range(points.shape[1]):
-                diff = points[sub[a], axis] - points[sub[b], axis]
-                dist2 += diff * diff
-            dist = np.sqrt(dist2)
-            # first grid index with t_grid[g] >= dist
-            lo, hi = 0, T
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if t_grid[mid] < dist:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            gidx[p] = lo
-            bits[p] = pair_bits[a, b]
-            p += 1
-    # insertion sort by gidx
-    for i in range(1, P):
-        kg, kb = gidx[i], bits[i]
-        j = i - 1
-        while j >= 0 and gidx[j] > kg:
-            gidx[j + 1] = gidx[j]
-            bits[j + 1] = bits[j]
-            j -= 1
-        gidx[j + 1] = kg
-        bits[j + 1] = kb
-    mask = 0
-    ecount = 0
-    ptr = 0
-    for g in range(T):
-        while ptr < P and gidx[ptr] <= g:
-            mask |= 1 << bits[ptr]
-            ecount += 1
-            ptr += 1
-        cid = class_table[mask]
-        if cid == shape_cid:
-            out[0, g] += 1
-        if cid >= 0 and ecount > shape_edges:
-            out[1, g] += 1
-
-
-@njit(cache=True, nogil=True)
-def _curves_numba(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
-                  class_table, shape_cid, shape_edges, pair_bits):
-    n = points.shape[0]
-    T = t_grid.shape[0]
-    out = np.zeros((2, T), dtype=np.int64)
-    if n < k:
-        return out
-    sub = np.empty(k, dtype=np.int64)
-    ext = np.empty((k, n), dtype=np.int64)
-    ext_len = np.zeros(k, dtype=np.int64)
-    marks = np.empty((k, n), dtype=np.int64)
-    mark_len = np.zeros(k, dtype=np.int64)
-    marked = np.zeros(n, dtype=np.bool_)
-    for v in range(n):
-        sub[0] = v
-        if k == 1:
-            continue
-        marked[v] = True
-        ml = 0
-        el = 0
-        for s in range(indptr[v], indptr[v + 1]):
-            u = indices[s]
-            if u > v:
-                ext[0, el] = u
-                el += 1
-            if not marked[u]:
-                marked[u] = True
-                marks[0, ml] = u
-                ml += 1
-        ext_len[0] = el
-        mark_len[0] = ml
-        depth = 0
-        while depth >= 0:
-            if ext_len[depth] == 0:
-                # rollback this depth's marks and pop
-                for i in range(mark_len[depth]):
-                    marked[marks[depth, i]] = False
-                depth -= 1
-                continue
-            ext_len[depth] -= 1
-            w = ext[depth, ext_len[depth]]
-            sub[depth + 1] = w
-            if depth + 2 == k:
-                _process_candidate(sub, points, norms, t_grid, k, ann_lo, ann_hi,
-                                   class_table, shape_cid, shape_edges, pair_bits, out)
-                continue
-            # build next extension: remaining ext + exclusive neighbors of w
-            nd = depth + 1
-            el = ext_len[depth]
-            for i in range(el):
-                ext[nd, i] = ext[depth, i]
-            ml = 0
-            for s in range(indptr[w], indptr[w + 1]):
-                u = indices[s]
-                if u > v and not marked[u]:
-                    ext[nd, el] = u
-                    el += 1
-                # mark the closed neighborhood of w for deeper levels
-                if not marked[u]:
-                    marked[u] = True
-                    marks[nd, ml] = u
-                    ml += 1
-            ext_len[nd] = el
-            mark_len[nd] = ml
-            depth = nd
-        marked[v] = False
-    return out
-
+# is classified across the whole ascending t-grid at once from its pairwise
+# distances.
 
 def _esu_candidates_python(indptr, indices, k, n):
-    """Yield connected k-subsets (python fallback, same visit set as ESU)."""
+    """Yield every connected k-subset once, in ESU order."""
     neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
     for v in range(n):
         marked = set(u for u in neighbors[v] if True)
@@ -379,9 +81,11 @@ def _esu_candidates_python(indptr, indices, k, n):
                 # ESU semantics: the remaining ext excludes w for later branches
 
 
-def _curves_numpy(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
-                  class_table, edge_table, shape_cid, shape_edges, bit_weights,
-                  chunk=1 << 14):
+def accumulate_curves(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
+                      class_table, edge_table, shape_cid, shape_edges, pair_bits):
+    """Counts (2, T): [matches of the shape, connected-with-more-edges] per t."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
     n = points.shape[0]
     T = t_grid.shape[0]
     out = np.zeros((2, T), dtype=np.int64)
@@ -390,18 +94,15 @@ def _curves_numpy(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
     if k == 2:
         # all edges directly from CSR (each pair appears twice, keep i<j)
         src = np.repeat(np.arange(n), np.diff(indptr))
-        dst = indices
-        keep = src < dst
-        subs = np.stack([src[keep], dst[keep]], axis=1)
-        batches = [subs[i:i + chunk] for i in range(0, len(subs), chunk)]
+        keep = src < indices
+        subs = np.stack([src[keep], indices[keep]], axis=1)
     else:
         cand = list(_esu_candidates_python(indptr, indices, k, n))
         subs = np.array(cand, dtype=np.int64).reshape(-1, k)
-        batches = [subs[i:i + chunk] for i in range(0, len(subs), chunk)]
     iu = np.triu_indices(k, 1)
-    for batch in batches:
-        if len(batch) == 0:
-            continue
+    bit_weights = np.int64(1) << pair_bits[iu]
+    for i in range(0, len(subs), _CHUNK):
+        batch = subs[i:i + _CHUNK]
         mx = norms[batch].max(axis=1)
         batch = batch[(mx >= ann_lo) & (mx < ann_hi)]
         if len(batch) == 0:
@@ -419,54 +120,15 @@ def _curves_numpy(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
     return out
 
 
-def accumulate_curves(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
-                      class_table, edge_table, shape_cid, shape_edges, pair_bits):
-    """Counts (2, T): [matches of the shape, connected-with-more-edges] per t."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _curves_numba(points, norms, indptr, indices, t_grid, k,
-                             float(ann_lo), float(ann_hi),
-                             class_table.astype(np.int16), np.int64(shape_cid),
-                             np.int64(shape_edges), pair_bits)
-    bit_weights = np.int64(1) << pair_bits[np.triu_indices(k, 1)]
-    return _curves_numpy(points, norms, indptr, indices, t_grid, k,
-                         float(ann_lo), float(ann_hi), class_table, edge_table,
-                         shape_cid, shape_edges, bit_weights)
-
-
 # ---------------------------------------------------------------------------
 # cube occupancy for the core-coverage experiment
 # ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _occupancy_numba(cells, dims, base):
-    d = cells.shape[1]
-    total = 1
-    for axis in range(d):
-        total *= dims[axis]
-    occ = np.zeros(total, dtype=np.bool_)
-    for i in range(cells.shape[0]):
-        flat = 0
-        ok = True
-        for axis in range(d):
-            c = cells[i, axis] - base[axis]
-            if c < 0 or c >= dims[axis]:
-                ok = False
-                break
-            flat = flat * dims[axis] + c
-        if ok:
-            occ[flat] = True
-    return occ
-
 
 def occupied_cells(points: np.ndarray, g: float, base: np.ndarray, dims: np.ndarray):
     """Boolean occupancy over the integer box [base, base+dims) of grid-g cells."""
     cells = _cell_coords(np.ascontiguousarray(points, dtype=np.float64), g)
     base = np.asarray(base, dtype=np.int64)
     dims = np.asarray(dims, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _occupancy_numba(cells, dims, base)
     rel = cells - base
     inside = np.all((rel >= 0) & (rel < dims), axis=1)
     occ = np.zeros(int(np.prod(dims)), dtype=bool)

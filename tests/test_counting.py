@@ -11,7 +11,7 @@ import pytest
 
 import rgglab
 from rgglab import kernels
-from rgglab.atlas import build_atlas, named_shape, pair_bit_index
+from rgglab.atlas import build_atlas, named_shape
 from rgglab.counting import (
     ANNULUS_ABSOLUTE,
     ANNULUS_RADIUS_MULTIPLE,
@@ -160,35 +160,86 @@ def test_invalid_requests(k2):
         CountingCurve(t_grid=np.array([1.0]), counts=np.array([-1]), mode="h", R=0.0)
 
 
-def test_kernel_paths_agree(rng):
-    atlas = build_atlas(3)
-    shape = atlas.classes[1]
-    pts = rng.normal(size=(200, 2)) * 2
-    norms = np.linalg.norm(pts, axis=1)
-    grid = np.array([0.4, 0.8, 1.2])
-    indptr, indices = kernels.build_adjacency(pts, float(grid[-1]))
-    pb = pair_bit_index(3)
-    bit_weights = (np.int64(1) << pb[np.triu_indices(3, 1)]).astype(np.int64)
-    out_np = kernels._curves_numpy(pts, norms, indptr, indices, grid, 3, 0.0, np.inf,
-                                   atlas.class_table(), atlas.edge_count_table(),
-                                   atlas.shape_index(shape), shape.edge_count,
-                                   bit_weights)
-    if kernels.NUMBA_ENABLED:
-        out_nb = kernels._curves_numba(pts, norms, indptr, indices, grid, 3, 0.0,
-                                       np.inf, atlas.class_table().astype(np.int16),
-                                       np.int64(atlas.shape_index(shape)),
-                                       np.int64(shape.edge_count), pb)
-        assert np.array_equal(out_nb, out_np)
-    # the numpy adjacency fallback agrees with the active path
-    cells = kernels._cell_coords(pts, float(grid[-1]))
-    indptr2, indices2 = kernels._adjacency_numpy(pts, cells, float(grid[-1]))
-    assert np.array_equal(indptr, indptr2)
-    assert np.array_equal(indices, indices2)
+def _brute_force_csr(pts, radius):
+    """O(n^2) reference: edge iff sqrt(d2) <= radius, rows ascending."""
+    n = pts.shape[0]
+    if n == 0 or radius <= 0:
+        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    adj = np.sqrt((diff * diff).sum(axis=2)) <= radius
+    np.fill_diagonal(adj, False)
+    indptr = np.concatenate([[0], np.cumsum(adj.sum(axis=1))])
+    return indptr, np.nonzero(adj)[1]
+
+
+def test_build_adjacency_matches_brute_force(rng):
+    for d in (1, 2, 3):
+        for n in (0, 1, 2, 7, 60, 250):
+            pts = rng.normal(size=(n, d)) * 2
+            for radius in (-1.0, 0.0, 0.3, 1.1, 4.0):
+                indptr, indices = kernels.build_adjacency(pts, radius)
+                ref_ptr, ref_idx = _brute_force_csr(pts, radius)
+                assert indptr.dtype == np.int64 and indices.dtype == np.int64
+                assert np.array_equal(indptr, ref_ptr), (d, n, radius)
+                assert np.array_equal(indices, ref_idx), (d, n, radius)
+                rows = np.repeat(np.arange(n), np.diff(indptr))
+                for v in range(n):
+                    assert np.all(np.diff(indices[indptr[v]:indptr[v + 1]]) > 0)
+                # symmetric: the transposed edge list is the same set
+                fwd = set(zip(rows.tolist(), indices.tolist()))
+                assert fwd == {(q, p) for p, q in fwd}
+    # coincident points are neighbours at any positive radius
+    indptr, indices = kernels.build_adjacency(np.zeros((3, 2)), 1e-300)
+    assert list(indptr) == [0, 2, 4, 6] and list(indices) == [1, 2, 0, 2, 0, 1]
+
+
+def _exact_radius_pairs(t, count):
+    """Offsets (t cos theta, t sin theta) that lie within t of the origin
+    under sqrt(d2) <= t although d2 exceeds the rounded t * t."""
+    out = []
+    for theta in np.linspace(0.01, 1.56, 2000):
+        dx, dy = t * np.cos(theta), t * np.sin(theta)
+        d2 = dx * dx + dy * dy
+        if np.sqrt(d2) <= t and d2 > t * t:
+            out.append((dx, dy))
+        if len(out) == count:
+            break
+    return out
+
+
+def test_exact_radius_pairs_match_oracle(k2, path3):
+    def check(pts, grid):
+        cloud = make_cloud(pts)
+        for shape in (k2, path3):
+            for mode in ("h", "plus", "minus"):
+                req = CountRequest(shape=shape, t_grid=grid, mode=mode)
+                fast = count_subgraphs(cloud, req).counts
+                slow = count_subgraphs_exhaustive(cloud, req).counts
+                assert np.array_equal(fast, slow), (shape.k, mode, pts.tolist())
+        return count_subgraphs(cloud, CountRequest(shape=k2, t_grid=grid)).counts
+
+    # (a) square lattices with an exactly representable spacing (0.75) and
+    # inexact ones (0.1, 0.7); t_max is the spacing, then the diagonal
+    for t in (0.75, 0.1, 0.7):
+        ij = np.stack(np.meshgrid(np.arange(5), np.arange(5), indexing="ij"), -1)
+        lattice = ij.reshape(-1, 2) * t
+        check(lattice, np.array([0.5 * t, t]))
+        check(lattice, np.array([0.5 * t, t, np.sqrt(2) * t]))
+    # (b) two-point (K2) and three-point collinear (3-path) clouds whose
+    # consecutive pairs sit at t_max with d2 > fl(t_max^2)
+    t = 0.7
+    pairs = _exact_radius_pairs(t, 20)
+    assert len(pairs) == 20
+    grid = np.array([0.3, 0.6, t])
+    for dx, dy in pairs:
+        counts = check(np.array([[0.0, 0.0], [dx, dy]]), grid)
+        assert list(counts) == [0, 0, 1]
+        check(np.array([[0.0, 0.0], [dx, dy], [2 * dx, 2 * dy]]), grid)
 
 
 def test_determinism_across_workers_env(tmp_path, rng):
-    """With RGGLAB_DISABLE_NUMBA unset and set, a fresh interpreter prints the
-    same h/plus/minus counts as the in-process engine on the same cloud."""
+    """A fresh interpreter prints the same h/plus/minus counts as the
+    in-process engine on the same cloud."""
     cloud_path = tmp_path / "cloud.bin"
     pts = rng.normal(size=(60, 2)) * 2
     save_cloud(cloud_path, make_cloud(pts, seed=7))
@@ -207,16 +258,13 @@ def test_determinism_across_workers_env(tmp_path, rng):
     expected = f"{list(h.counts)} {list(p.counts)} {list(m.counts)}\n"
     # the child imports the same rgglab as this process, however it was found
     package_root = str(Path(rgglab.__file__).resolve().parents[1])
-    for env_flag in ("0", "1"):
-        env = os.environ.copy()
-        env["RGGLAB_DISABLE_NUMBA"] = env_flag
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == expected, f"RGGLAB_DISABLE_NUMBA={env_flag}"
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
 
 
 def test_binary_cache_roundtrip(tmp_path, rng):

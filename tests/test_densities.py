@@ -254,3 +254,38 @@ def test_exterior_sampler_law(vm21):
         return 1 - (x + 1) * np.exp(-x) / sr
     stat = stats.kstest(r, cond_cdf).statistic
     assert stat < KS_CRIT_1PCT / math.sqrt(len(r))
+
+
+def test_tail_integral_memoized(monkeypatch):
+    """log_tail_prob and the exterior sampler share one quadrature per R, and
+    concurrent first calls all return the same bits."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from rgglab import densities
+
+    R = 7.5
+    expected = PowerLawDensity(2, 4.0).log_tail_prob(R)
+    fresh = PowerLawDensity(2, 4.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(fresh.log_tail_prob, [R] * 16, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected] * 16
+
+    calls = []
+    quad = densities.integrate.quad
+    monkeypatch.setattr(densities.integrate, "quad",
+                        lambda *a, **kw: calls.append(1) or quad(*a, **kw))
+    density = PowerLawDensity(2, 4.0)
+    calls.clear()
+    first = density.log_tail_prob(R)
+    n_quad = len(calls)
+    assert n_quad > 0
+    assert density.log_tail_prob(R) == first == expected
+    _, total = density._exterior_inverse(R)
+    assert total == density._tail_ratio_integral(R)
+    assert len(calls) == n_quad
