@@ -6,6 +6,10 @@ bitmasks; isomorphism classes are identified by the canonical form
 min over all k! vertex permutations of the permuted bitmask.  The atlas
 enumerates every connected isomorphism class on k vertices and provides
 lookup tables so that classifying a bitmask is an array read.
+``Atlas.indicators`` classifies batches of k-point configurations over a
+radius grid; the counting engine, the limit oracle and the Palm check all
+read it, and the scalar ``h_t`` family below is the reference it is tested
+against.
 
 Bit layout: pair (i, j), i < j, occupies bit ``i*k - i*(i+1)//2 + (j-i-1)``,
 i.e. pairs in lexicographic order.
@@ -21,6 +25,8 @@ import numpy as np
 
 MAX_ORDER = 7          # largest supported vertex count
 FULL_TABLE_MAX = 6     # largest k with full per-mask lookup tables
+# configurations classified per vectorized batch (bounds the (M, P, T) temporaries)
+_INDICATOR_CHUNK = 1 << 14
 
 
 class UnsupportedOrderError(ValueError):
@@ -145,23 +151,12 @@ class Atlas:
     by_edge_count: dict[int, tuple[GraphShape, ...]] = field(repr=False)
     _canon_to_index: dict[int, int] = field(repr=False)
     _class_table: np.ndarray | None = field(repr=False, default=None)
-    _edge_count_table: np.ndarray | None = field(repr=False, default=None)
     _lazy_cache: dict[int, int] = field(repr=False, default_factory=dict)
 
     # -- classification ----------------------------------------------------
     def class_index_of_mask(self, mask: int) -> int:
         """Index into ``classes`` for a connected mask, -1 if disconnected."""
-        if self._class_table is not None:
-            return int(self._class_table[mask])
-        cached = self._lazy_cache.get(mask)
-        if cached is not None:
-            return cached
-        if not is_connected_mask(mask, self.k):
-            idx = -1
-        else:
-            idx = self._canon_to_index[canonical_mask(mask, self.k)]
-        self._lazy_cache[mask] = idx
-        return idx
+        return int(self._class_indices(np.array([mask], dtype=np.int64))[0])
 
     def classify_mask(self, mask: int) -> GraphShape | None:
         idx = self.class_index_of_mask(mask)
@@ -170,20 +165,57 @@ class Atlas:
     def shape_index(self, shape: GraphShape) -> int:
         return self._canon_to_index[shape.canonical_form]
 
-    def class_table(self) -> np.ndarray:
-        """int16 table over all masks: class index, -1 for disconnected."""
-        if self._class_table is None:
-            raise UnsupportedOrderError(
-                f"full lookup tables only built for k <= {FULL_TABLE_MAX}"
-            )
-        return self._class_table
+    def _class_indices(self, masks: np.ndarray) -> np.ndarray:
+        """Elementwise ``class_index_of_mask`` over an int64 mask array."""
+        if self._class_table is not None:
+            return self._class_table[masks]
+        # no full table: canonicalize the masks not met before in one batch.
+        # Threads share the memo; entries are only added and depend on the
+        # mask alone, so a race at worst computes one twice.
+        uniq, inv = np.unique(masks, return_inverse=True)
+        uniq = uniq.tolist()
+        new = [m for m in uniq if m not in self._lazy_cache]
+        if new:
+            canon = canonical_masks(np.array(new, dtype=np.int64), self.k).tolist()
+            for m, c in zip(new, canon):
+                connected = is_connected_mask(m, self.k)
+                self._lazy_cache[m] = self._canon_to_index[c] if connected else -1
+        idx = np.array([self._lazy_cache[m] for m in uniq], dtype=np.int16)
+        return idx[inv].reshape(masks.shape)
 
-    def edge_count_table(self) -> np.ndarray:
-        if self._edge_count_table is None:
-            raise UnsupportedOrderError(
-                f"full lookup tables only built for k <= {FULL_TABLE_MAX}"
-            )
-        return self._edge_count_table
+    def indicators(self, configs: np.ndarray, t_grid: np.ndarray,
+                   shape: GraphShape) -> tuple[np.ndarray, np.ndarray]:
+        """(h, minus): two (M, T) bool arrays over k-point configurations.
+
+        ``h[m, g]`` is 1 iff the geometric graph of ``configs[m]`` at radius
+        ``t_grid[g]`` (closed ball: an edge iff ``sqrt(d2) <= t``) is
+        isomorphic to ``shape``; ``minus[m, g]`` iff it is connected with more
+        edges than ``shape``.  ``t_grid`` must be ascending.
+        """
+        configs = np.asarray(configs, dtype=np.float64)
+        t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
+        if shape.k != self.k or configs.ndim != 3 or configs.shape[1] != self.k:
+            raise ValueError(f"need (M, {self.k}, d) configurations of a k={self.k} shape")
+        M, T = configs.shape[0], t_grid.size
+        iu = np.triu_indices(self.k, 1)
+        weights = np.int64(1) << pair_bit_index(self.k)[iu]
+        grid_pos = np.arange(T)
+        cid = self.shape_index(shape)
+        # classes are sorted by edge count, so "connected with more edges than
+        # the shape" is every class index from the first denser class on
+        first_denser = sum(c.edge_count <= shape.edge_count for c in self.classes)
+        h = np.empty((M, T), dtype=bool)
+        minus = np.empty((M, T), dtype=bool)
+        for lo in range(0, M, _INDICATOR_CHUNK):
+            batch = configs[lo:lo + _INDICATOR_CHUNK]
+            diff = batch[:, :, None, :] - batch[:, None, :, :]
+            dists = np.sqrt((diff * diff).sum(axis=3))[:, iu[0], iu[1]]   # (m, P)
+            gidx = np.searchsorted(t_grid, dists, side="left")
+            present = gidx[:, :, None] <= grid_pos                        # (m, P, T)
+            cls = self._class_indices((present * weights[:, None]).sum(axis=1))
+            h[lo:lo + len(batch)] = cls == cid
+            minus[lo:lo + len(batch)] = cls >= first_denser
+        return h, minus
 
     # -- export -------------------------------------------------------------
     def export_text(self) -> str:
@@ -251,7 +283,7 @@ def build_atlas(k: int) -> Atlas:
         if group:
             by_edge_count[ell] = group
 
-    class_table = edge_table = None
+    class_table = None
     if k <= FULL_TABLE_MAX:
         n_masks = 1 << pair_count(k)
         all_masks = np.arange(n_masks, dtype=np.int64)
@@ -264,9 +296,7 @@ def build_atlas(k: int) -> Atlas:
         for canon, idx in canon_to_index.items():
             lut[canon] = idx
         class_table[connected] = lut[canon_all[connected]]
-        edge_table = np.bitwise_count(all_masks).astype(np.uint8)
         class_table.flags.writeable = False
-        edge_table.flags.writeable = False
 
     return Atlas(
         k=k,
@@ -274,7 +304,6 @@ def build_atlas(k: int) -> Atlas:
         by_edge_count=by_edge_count,
         _canon_to_index=canon_to_index,
         _class_table=class_table,
-        _edge_count_table=edge_table,
     )
 
 

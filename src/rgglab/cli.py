@@ -28,6 +28,7 @@ from .counting import (
     ANNULUS_RADIUS_MULTIPLE,
     ANNULUS_SHIFTED_BY_A,
     AnnulusSpec,
+    CloudFormatError,
     CountRequest,
     count_decomposed,
     load_cloud,
@@ -151,7 +152,10 @@ def _shape_from_args(args):
 
 def _cmd_count(args) -> int:
     if args.cloud:
-        cloud = load_cloud(args.cloud)
+        try:
+            cloud = load_cloud(args.cloud)
+        except (OSError, CloudFormatError) as exc:
+            raise ConfigError(f"unreadable cloud: {exc}") from exc
     else:
         density = _density_from_args(args)
         rng = np.random.default_rng(args.seed)
@@ -411,3 +415,7 @@ def parse_and_dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(parse_and_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,9 +1,10 @@
 """Subgraph counting curves over an ascending radius grid.
 
-``count_subgraphs`` drives the engine: candidate k-subsets are enumerated
-only among points whose geometric graph at the largest grid radius (built by
-a k-d tree pair search) is connected, and each candidate is classified once
-per grid point through the cached canonical-form table.
+``subset_indicators`` is the engine's one pass: candidate k-subsets are
+enumerated only among points whose geometric graph at the largest grid
+radius (built by a k-d tree pair search) is connected, and ``Atlas.indicators``
+classifies each candidate at every grid radius.  ``count_decomposed`` and
+``count_subgraphs`` sum its rows.
 
 ``count_subgraphs_exhaustive`` is the independent oracle: it enumerates every
 k-subset of the cloud, applies the filters directly, and classifies through
@@ -19,11 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .atlas import FULL_TABLE_MAX, GraphShape, build_atlas, pair_bit_index
+from .atlas import GraphShape, build_atlas, pair_bit_index
 
 
 class InvalidRequestError(ValueError):
     """Raised for malformed counting requests (e.g. non-ascending grid)."""
+
+
+class CloudFormatError(ValueError):
+    """Raised when a binary cloud file's size does not match its header."""
 
 
 @dataclass
@@ -161,60 +166,40 @@ def _annulus_bounds(req: CountRequest) -> tuple[float, float]:
     return req.annulus.bounds(req.R, req.a_of_R)
 
 
-def _raw_curves(cloud: PointCloud, req: CountRequest) -> np.ndarray:
-    """(2, T) counts: [shape matches, connected with more edges]."""
+def subset_indicators(cloud: PointCloud,
+                      req: CountRequest) -> tuple[np.ndarray, np.ndarray]:
+    """(h, minus): (M, T) bool indicators, one row per candidate k-subset.
+
+    The candidates are the subsets outside B(0, R) that are connected at the
+    largest grid radius and whose farthest point passes the annulus gate;
+    every other subset is 0 at every grid radius.
+    """
     k = req.shape.k
     t_grid = req.t_grid
     keep = cloud.norms >= req.R if req.R > 0 else slice(None)
     pts = cloud.points[keep]
-    norms = cloud.norms[keep]
-    T = t_grid.size
     if pts.shape[0] < k:
-        return np.zeros((2, T), dtype=np.int64)
+        empty = np.zeros((0, t_grid.size), dtype=bool)
+        return empty, empty
     t_max = float(t_grid[-1])
     if t_max <= 0:
         raise InvalidRequestError("largest grid radius must be positive")
     atlas = build_atlas(k)
     indptr, indices = kernels.build_adjacency(pts, t_max)
     ann_lo, ann_hi = _annulus_bounds(req)
-    cid = atlas.shape_index(req.shape)
-    if k <= FULL_TABLE_MAX:
-        return kernels.accumulate_curves(
-            pts, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
-            atlas.class_table(), atlas.edge_count_table(), cid,
-            req.shape.edge_count, pair_bit_index(k),
-        )
-    # k = 7: lazy per-mask classification, python enumeration
-    out = np.zeros((2, T), dtype=np.int64)
-    pb = pair_bit_index(k)
-    iu = np.triu_indices(k, 1)
-    bits = pb[iu]
-    for sub in kernels._esu_candidates_python(indptr, indices, k, pts.shape[0]):
-        members = np.fromiter(sub, dtype=np.int64, count=k)
-        mx = norms[members].max()
-        if not (ann_lo <= mx < ann_hi):
-            continue
-        coords = pts[members]
-        diff = coords[:, None, :] - coords[None, :, :]
-        dists = np.sqrt((diff * diff).sum(axis=2))[iu]
-        gidx = np.searchsorted(t_grid, dists, side="left")
-        for g in range(T):
-            mask = int(((gidx <= g).astype(np.int64) << bits).sum())
-            idx = atlas.class_index_of_mask(mask)
-            if idx == cid:
-                out[0, g] += 1
-            if idx >= 0 and int(bin(mask).count("1")) > req.shape.edge_count:
-                out[1, g] += 1
-    return out
+    return kernels.accumulate_curves(pts, cloud.norms[keep], indptr, indices, t_grid,
+                                     ann_lo, ann_hi, atlas, req.shape)
 
 
 def count_decomposed(cloud: PointCloud, req: CountRequest):
     """One pass producing the h, h+, h- curves (h = plus - minus pointwise)."""
-    raw = _raw_curves(cloud, req)
+    h_ind, minus_ind = subset_indicators(cloud, req)
+    h_counts = h_ind.sum(axis=0, dtype=np.int64)
+    minus_counts = minus_ind.sum(axis=0, dtype=np.int64)
     common = dict(t_grid=req.t_grid, R=req.R, seed=cloud.seed, shape=req.shape)
-    h = CountingCurve(counts=raw[0], mode=MODE_H, **common)
-    minus = CountingCurve(counts=raw[1], mode=MODE_MINUS, **common)
-    plus = CountingCurve(counts=raw[0] + raw[1], mode=MODE_PLUS, **common)
+    h = CountingCurve(counts=h_counts, mode=MODE_H, **common)
+    minus = CountingCurve(counts=minus_counts, mode=MODE_MINUS, **common)
+    plus = CountingCurve(counts=h_counts + minus_counts, mode=MODE_PLUS, **common)
     return h, plus, minus
 
 
@@ -363,8 +348,16 @@ def save_cloud(path, cloud: PointCloud) -> None:
 
 def load_cloud(path, n: float = 0.0, restricted_to: float | None = None) -> PointCloud:
     with open(path, "rb") as fh:
-        d, count, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(8 * d * count), dtype="<f8")
+        blob = fh.read()
+    if len(blob) < _HEADER.size:
+        raise CloudFormatError(f"{path}: {len(blob)} bytes, shorter than the "
+                               f"{_HEADER.size}-byte header")
+    d, count, seed = _HEADER.unpack_from(blob)
+    expected = _HEADER.size + 8 * d * count
+    if d < 1 or count < 0 or len(blob) != expected:
+        raise CloudFormatError(f"{path}: {len(blob)} bytes, but its header "
+                               f"(d={d}, N={count}) needs {expected}")
+    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     pts = data.reshape(count, d).astype(np.float64)
     return make_cloud(pts, n=n, seed=None if seed < 0 else int(seed),
                       restricted_to=restricted_to)

@@ -29,6 +29,7 @@ from .counting import (
     AnnulusSpec,
     CountRequest,
     count_decomposed,
+    subset_indicators,
 )
 from .densities import (
     PoissonLayerSchedule,
@@ -374,10 +375,9 @@ def palm_mean_check(cfg: ExperimentConfig, n: float | None = None,
 
     def work(rep, rng):
         cloud = sample_poisson_cloud(n, density, rng, exterior_radius=R, seed=rep)
-        h, _, _ = count_decomposed(cloud, req)
-        # joint persistence: subsets matching the shape at both radii
-        both = _joint_persistence(cloud, req, ti, si)
-        return h.counts[ti], both
+        h, _ = subset_indicators(cloud, req)
+        # G_n(t), and the joint persistence: subsets matching the shape at both radii
+        return int(h[:, ti].sum()), int((h[:, ti] & h[:, si]).sum())
 
     results = _run_replications(cfg, 0, work)
     counts = np.array([r[0] for r in results], dtype=float)
@@ -412,26 +412,6 @@ def palm_mean_check(cfg: ExperimentConfig, n: float | None = None,
     return ExperimentReport(kind="palm", rungs=[rung], flags=flags,
                             seed_audit=_seed_audit(cfg),
                             runtime_seconds=time.perf_counter() - started)
-
-
-def _joint_persistence(cloud, req: CountRequest, ti: int, si: int) -> int:
-    """Number of subsets matching the shape at both grid radii ti and si."""
-    if ti == si:
-        h, _, _ = count_decomposed(cloud, req)
-        return int(h.counts[ti])
-    k = req.shape.k
-    keep = cloud.norms >= req.R if req.R > 0 else slice(None)
-    pts = cloud.points[keep]
-    if pts.shape[0] < k:
-        return 0
-    t_max = float(req.t_grid[-1])
-    indptr, indices = kernels.build_adjacency(pts, t_max)
-    cand = list(kernels._esu_candidates_python(indptr, indices, k, pts.shape[0]))
-    if not cand:
-        return 0
-    cfgs = pts[np.array(cand, dtype=np.int64)]
-    vals = indicator_values(req.shape, cfgs, req.t_grid, "h")
-    return int(np.sum(vals[:, ti] & vals[:, si]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Hot numeric kernels: fixed-radius adjacency, connected k-subset
-enumeration with per-subset curve accumulation, and cube-occupancy coverage.
+enumeration, and cube-occupancy coverage.
 
 There is one path per kernel, built on numpy and ``scipy.spatial``.  The
 adjacency comes from a k-d tree pair search (``cKDTree.query_pairs``) and
 keeps a pair iff ``sqrt(d2) <= radius``, the rule the curve classifier and
 the exhaustive oracle use, so pairs at exactly the radius are never lost.
-Accumulation is exact integer arithmetic and does not depend on enumeration
-order.  ``python3 perfbench/run.py`` times these kernels in context.
+Classifying the enumerated subsets is ``Atlas.indicators``' job; the
+counts summed from it do not depend on enumeration order.
+``python3 perfbench/run.py`` times these kernels in context.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,72 +55,48 @@ def build_adjacency(points: np.ndarray, radius: float):
 
 
 # ---------------------------------------------------------------------------
-# connected k-subset enumeration + curve accumulation
+# connected k-subset enumeration + per-subset classification
 # ---------------------------------------------------------------------------
-# ESU (exclusive-neighborhood) enumeration: every vertex set whose induced
-# graph at radius t_max is connected is visited exactly once.  Each candidate
-# is classified across the whole ascending t-grid at once from its pairwise
-# distances.
+# ESU (exclusive-neighborhood) enumeration, Wernicke 2006: every vertex set
+# whose induced graph at radius t_max is connected is visited exactly once.
 
-def _esu_candidates_python(indptr, indices, k, n):
-    """Yield every connected k-subset once, in ESU order."""
-    neighbors = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+def _esu_candidates(indptr, indices, k, n):
+    """Yield every connected k-subset (k >= 2) once, in ESU order."""
+    flat, bounds = indices.tolist(), indptr.tolist()
+    neighbors = [flat[bounds[v]:bounds[v + 1]] for v in range(n)]
     for v in range(n):
-        marked = set(u for u in neighbors[v] if True)
-        marked.add(v)
-        ext0 = [u for u in neighbors[v] if u > v]
-        stack = [((v,), ext0, set(marked))]
+        # marked = the subset and its neighbourhood; ext holds only marked vertices
+        stack = [((v,), [u for u in neighbors[v] if u > v], {v, *neighbors[v]})]
         while stack:
-            sub, ext, mset = stack.pop()
+            sub, ext, marked = stack.pop()
             if len(sub) + 1 == k:
                 for w in ext:
                     yield sub + (w,)
                 continue
             while ext:
+                # the remaining ext excludes w for the later branches
                 w = ext.pop()
-                new = [u for u in neighbors[w] if u > v and u not in mset]
-                mset2 = mset | set(int(u) for u in neighbors[w]) | {w}
-                stack.append((sub + (w,), ext + new, mset2))
-                # ESU semantics: the remaining ext excludes w for later branches
+                new = [u for u in neighbors[w] if u > v and u not in marked]
+                stack.append((sub + (w,), ext + new, marked.union(neighbors[w])))
 
 
-def accumulate_curves(points, norms, indptr, indices, t_grid, k, ann_lo, ann_hi,
-                      class_table, edge_table, shape_cid, shape_edges, pair_bits):
-    """Counts (2, T): [matches of the shape, connected-with-more-edges] per t."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    t_grid = np.ascontiguousarray(t_grid, dtype=np.float64)
+def accumulate_curves(points, norms, indptr, indices, t_grid, ann_lo, ann_hi,
+                      atlas, shape):
+    """(h, minus) per candidate: two (M, T) bool arrays, one row per
+    connected k-subset whose farthest point has norm in [ann_lo, ann_hi)."""
+    k = shape.k
     n = points.shape[0]
-    T = t_grid.shape[0]
-    out = np.zeros((2, T), dtype=np.int64)
-    if n < k:
-        return out
     if k == 2:
         # all edges directly from CSR (each pair appears twice, keep i<j)
         src = np.repeat(np.arange(n), np.diff(indptr))
         keep = src < indices
         subs = np.stack([src[keep], indices[keep]], axis=1)
     else:
-        cand = list(_esu_candidates_python(indptr, indices, k, n))
-        subs = np.array(cand, dtype=np.int64).reshape(-1, k)
-    iu = np.triu_indices(k, 1)
-    bit_weights = np.int64(1) << pair_bits[iu]
-    for i in range(0, len(subs), _CHUNK):
-        batch = subs[i:i + _CHUNK]
-        mx = norms[batch].max(axis=1)
-        batch = batch[(mx >= ann_lo) & (mx < ann_hi)]
-        if len(batch) == 0:
-            continue
-        coords = points[batch]                       # (M, k, d)
-        diff = coords[:, :, None, :] - coords[:, None, :, :]
-        dists = np.sqrt((diff * diff).sum(axis=3))[:, iu[0], iu[1]]  # (M, P)
-        gidx = np.searchsorted(t_grid, dists, side="left")           # (M, P)
-        present = gidx[:, :, None] <= np.arange(T)[None, None, :]    # (M, P, T)
-        masks = (present * bit_weights[None, :, None]).sum(axis=1)   # (M, T)
-        cid = class_table[masks]
-        ecnt = edge_table[masks]
-        out[0] += (cid == shape_cid).sum(axis=0)
-        out[1] += ((cid >= 0) & (ecnt > shape_edges)).sum(axis=0)
-    return out
+        flat = itertools.chain.from_iterable(_esu_candidates(indptr, indices, k, n))
+        subs = np.fromiter(flat, dtype=np.int64).reshape(-1, k)
+    mx = norms[subs].max(axis=1)
+    subs = subs[(mx >= ann_lo) & (mx < ann_hi)]
+    return atlas.indicators(points[subs], t_grid, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atlas import FULL_TABLE_MAX, GraphShape, build_atlas, pair_bit_index
+from .atlas import GraphShape, build_atlas
 from .densities import (
     InvalidParameterError,
     RadialDensity,
@@ -147,31 +147,10 @@ def _ball_points(rng, count: int, m: int, d: int, radius: float, antithetic: boo
 def _mode_values(atlas, shape: GraphShape, configs: np.ndarray,
                  t_grid: np.ndarray, mode: str) -> np.ndarray:
     """(N, T) indicator values of h / h+ / h- on a batch of k-point configs."""
-    N, k, _ = configs.shape
-    iu = np.triu_indices(k, 1)
-    diff = configs[:, :, None, :] - configs[:, None, :, :]
-    dists = np.sqrt((diff * diff).sum(axis=3))[:, iu[0], iu[1]]
-    gidx = np.searchsorted(t_grid, dists, side="left")
-    bits = (np.int64(1) << pair_bit_index(k)[iu]).astype(np.int64)
-    present = gidx[:, :, None] <= np.arange(t_grid.size)[None, None, :]
-    masks = (present * bits[None, :, None]).sum(axis=1)
-    if k <= FULL_TABLE_MAX:
-        cls = atlas.class_table()[masks]
-        ecnt = atlas.edge_count_table()[masks]
-    else:
-        uniq, inv = np.unique(masks, return_inverse=True)
-        cls = np.array([atlas.class_index_of_mask(int(m)) for m in uniq])[inv].reshape(masks.shape)
-        ecnt = np.bitwise_count(masks).astype(np.int64)
-    cid = atlas.shape_index(shape)
-    h = cls == cid
-    if mode == "h":
-        return h
-    minus = (cls >= 0) & (ecnt > shape.edge_count)
-    if mode == "minus":
-        return minus
-    if mode == "plus":
-        return h | minus
-    raise InvalidParameterError(f"unknown mode {mode!r}")
+    if mode not in ("h", "plus", "minus"):
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    h, minus = atlas.indicators(configs, t_grid, shape)
+    return {"h": h, "plus": h | minus, "minus": minus}[mode]
 
 
 def indicator_values(shape: GraphShape, configs: np.ndarray, t_grid: np.ndarray,
@@ -379,7 +358,7 @@ def brownian_identity_check(params: OracleParams, mode: str = "plus") -> dict:
     rng = np.random.default_rng(params.seed + 977)
     radius = float(k)
     volume = unit_ball_volume(d) * radius ** d
-    total = ssq = 0.0
+    total = 0.0
     n = params.n_samples
     remaining = n
     while remaining > 0:
@@ -389,7 +368,6 @@ def brownian_identity_check(params: OracleParams, mode: str = "plus") -> dict:
         cfg = np.concatenate([np.zeros((count, 1, d)), y], axis=1)
         vals = _mode_values(atlas, params.shape, cfg, np.array([1.0]), mode)[:, 0]
         total += vals.sum()
-        ssq += vals.sum()  # indicator: squares equal values
     p_hat = total / n
     factor = b_constant(d, k, k, params.alpha) * volume ** (k - 1)
     k_hat = factor * p_hat

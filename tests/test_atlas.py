@@ -1,6 +1,9 @@
 """Atlas enumeration, canonical forms, and the indicator family."""
 
+import dataclasses
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import networkx as nx
 import numpy as np
@@ -218,3 +221,29 @@ def test_config_mask_boundary_tie():
     pb = pair_bit_index(2)
     assert config_mask(pts, 1.0) == 1 << pb[0, 1]
     assert config_mask(pts, 0.999) == 0
+    h, minus = build_atlas(2).indicators(pts[None], np.array([0.999, 1.0]),
+                                         named_shape(2, "edge"))
+    assert h.tolist() == [[False, True]]
+    assert minus.tolist() == [[False, False]]
+
+
+def test_k7_memo_shared_across_threads():
+    # k = 7 classifies through a memo that replication threads share; a
+    # fresh memo filled by 4 threads must give the single-thread answer
+    shape = named_shape(7, "path")
+    grid = np.array([0.9, 1.3, 1.7])
+    rng = np.random.default_rng(7)
+    chain = np.stack([np.arange(7.0), np.zeros(7)], axis=1)
+    batches = [chain + 0.3 * rng.normal(size=(40, 7, 2)) for _ in range(8)]
+    expected = [build_atlas(7).indicators(b, grid, shape) for b in batches]
+    fresh = dataclasses.replace(build_atlas(7), _lazy_cache={})
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda b: fresh.indicators(b, grid, shape), batches))
+    finally:
+        sys.setswitchinterval(old)
+    for (h, minus), (h_ref, minus_ref) in zip(got, expected):
+        assert np.array_equal(h, h_ref) and np.array_equal(minus, minus_ref)
+    assert fresh._lazy_cache

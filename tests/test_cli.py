@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rgglab
+from rgglab.atlas import build_atlas
 from rgglab.cli import parse_and_dispatch
 from rgglab.config import ConfigError, parse_config
-from rgglab.counting import load_cloud
+from rgglab.counting import CloudFormatError, load_cloud, make_cloud, save_cloud
 
 SMALL_CLT = """
 [density]
@@ -52,6 +57,44 @@ def test_atlas_bad_order(capsys):
     code, _, err = run_cli(capsys, "atlas", "--k", "9")
     assert code == 2
     assert "configuration error" in err
+
+
+def test_module_entry_point():
+    """``python -m rgglab.cli`` dispatches, exit code included."""
+    # the child imports the same rgglab as this process, however it was found
+    package_root = str(Path(rgglab.__file__).resolve().parents[1])
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rgglab.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    bad = run("atlas", "--k", "8")
+    assert bad.returncode == 2
+    assert "configuration error" in bad.stderr
+    good = run("atlas", "--k", "3")
+    assert good.returncode == 0, good.stderr
+    assert good.stdout == build_atlas(3).export_text()   # the path and the triangle
+
+
+def test_count_unreadable_cloud_exit_2(capsys, tmp_path):
+    whole = tmp_path / "whole.bin"
+    save_cloud(whole, make_cloud(np.arange(12.0).reshape(6, 2), seed=1))
+    blob = whole.read_bytes()
+    (tmp_path / "ten.bin").write_bytes(blob[:10])
+    (tmp_path / "short.bin").write_bytes(blob[:-8])
+    (tmp_path / "long.bin").write_bytes(blob + blob[-8:])
+    for name in ("ten.bin", "short.bin", "long.bin"):
+        with pytest.raises(CloudFormatError):
+            load_cloud(tmp_path / name)
+    for name in ("missing.bin", "ten.bin", "short.bin"):
+        code, out, err = run_cli(capsys, "count", "--family", "power", "--d", "2",
+                                 "--alpha", "4", "--cloud", str(tmp_path / name),
+                                 "--k", "2", "--t-grid", "1.0")
+        assert code == 2, name
+        assert "unreadable cloud" in err and out == ""
+    assert len(load_cloud(whole)) == 6
 
 
 def test_radii_subcommand(capsys, power24):

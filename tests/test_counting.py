@@ -58,11 +58,18 @@ def test_count_examples(k2):
 
 
 def test_exactness_small(rng):
-    shapes = {k: build_atlas(k).classes for k in (2, 3, 4)}
-    for trial in range(24):
+    shapes = {k: build_atlas(k).classes for k in range(2, 8)}
+    totals = dict.fromkeys(range(5, 8), 0)
+    # k = 2..4 on clouds of up to 40 points, then k = 5..7 (the all-subsets
+    # oracle's cost grows as C(n, k)) on clouds of at most 12 points
+    for trial in range(36):
         d = int(rng.integers(1, 4))
-        k = int(rng.integers(2, 5))
-        cloud = random_cloud(rng, int(rng.integers(5, 41)), d)
+        if trial < 24:
+            k = int(rng.integers(2, 5))
+            cloud = random_cloud(rng, int(rng.integers(5, 41)), d)
+        else:
+            k = 5 + trial % 3
+            cloud = random_cloud(rng, int(rng.integers(k, 13)), d, spread=1.5)
         shape = shapes[k][int(rng.integers(len(shapes[k])))]
         grid = np.unique(rng.uniform(0.05, 3.5, size=8))
         R = float(rng.uniform(0, 2.0))
@@ -75,6 +82,9 @@ def test_exactness_small(rng):
             fast = count_subgraphs(cloud, req).counts
             slow = count_subgraphs_exhaustive(cloud, req).counts
             assert np.array_equal(fast, slow), (trial, d, k, mode)
+            if k >= 5:
+                totals[k] += int(slow.sum())
+    assert all(totals.values()), totals   # every large k met nonzero counts
 
 
 def test_decomposition_identity(rng, path3):

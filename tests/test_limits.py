@@ -24,7 +24,7 @@ from rgglab.limits import (
     sample_limit_paths,
     self_similarity_report,
 )
-from rgglab.atlas import h_minus, h_plus, h_t
+from rgglab.atlas import h_minus, h_plus, h_t, named_shape
 
 
 def params(shape, *, d=2, k=2, ell=2, alpha=4.0, c=None, grid=(1.0,),
@@ -209,15 +209,20 @@ def test_params_validation(k2, path3):
 
 def test_indicator_values_match_reference(rng, path3):
     grid = np.array([0.4, 0.9, 1.7])
-    cfgs = rng.normal(size=(50, 3, 2))
-    vals = indicator_values(path3, cfgs, grid, "h")
-    plus = indicator_values(path3, cfgs, grid, "plus")
-    minus = indicator_values(path3, cfgs, grid, "minus")
-    for i in range(50):
-        for j, t in enumerate(grid):
-            assert vals[i, j] == h_t(cfgs[i], t, path3)
-            assert plus[i, j] == h_plus(cfgs[i], t, path3)
-            assert minus[i, j] == h_minus(cfgs[i], t, path3)
+    # k = 7 (no full lookup table): jittered unit-step chains along e1
+    chain = np.stack([np.arange(7.0), np.zeros(7)], axis=1)
+    cases = [(path3, rng.normal(size=(50, 3, 2))),
+             (named_shape(7, "path"), chain + 0.25 * rng.normal(size=(50, 7, 2)))]
+    for shape, cfgs in cases:
+        vals = indicator_values(shape, cfgs, grid, "h")
+        plus = indicator_values(shape, cfgs, grid, "plus")
+        minus = indicator_values(shape, cfgs, grid, "minus")
+        for i in range(50):
+            for j, t in enumerate(grid):
+                assert vals[i, j] == h_t(cfgs[i], t, shape)
+                assert plus[i, j] == h_plus(cfgs[i], t, shape)
+                assert minus[i, j] == h_minus(cfgs[i], t, shape)
+        assert vals.any() and minus.any(), shape
 
 
 def _poisson_pair_cumulants(n: float) -> tuple[float, float, float]:
