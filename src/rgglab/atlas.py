@@ -25,7 +25,7 @@ import numpy as np
 
 MAX_ORDER = 7          # largest supported vertex count
 FULL_TABLE_MAX = 6     # largest k with full per-mask lookup tables
-# configurations classified per vectorized batch (bounds the (M, P, T) temporaries)
+# configurations classified per vectorized batch (bounds the (m, T) temporaries)
 _INDICATOR_CHUNK = 1 << 14
 
 
@@ -190,7 +190,7 @@ class Atlas:
         ``h[m, g]`` is 1 iff the geometric graph of ``configs[m]`` at radius
         ``t_grid[g]`` (closed ball: an edge iff ``sqrt(d2) <= t``) is
         isomorphic to ``shape``; ``minus[m, g]`` iff it is connected with more
-        edges than ``shape``.  ``t_grid`` must be ascending.
+        edges than ``shape``.
         """
         configs = np.asarray(configs, dtype=np.float64)
         t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
@@ -198,8 +198,7 @@ class Atlas:
             raise ValueError(f"need (M, {self.k}, d) configurations of a k={self.k} shape")
         M, T = configs.shape[0], t_grid.size
         iu = np.triu_indices(self.k, 1)
-        weights = np.int64(1) << pair_bit_index(self.k)[iu]
-        grid_pos = np.arange(T)
+        weights = (np.int64(1) << pair_bit_index(self.k)[iu]).tolist()
         cid = self.shape_index(shape)
         # classes are sorted by edge count, so "connected with more edges than
         # the shape" is every class index from the first denser class on
@@ -208,11 +207,12 @@ class Atlas:
         minus = np.empty((M, T), dtype=bool)
         for lo in range(0, M, _INDICATOR_CHUNK):
             batch = configs[lo:lo + _INDICATOR_CHUNK]
-            diff = batch[:, :, None, :] - batch[:, None, :, :]
-            dists = np.sqrt((diff * diff).sum(axis=3))[:, iu[0], iu[1]]   # (m, P)
-            gidx = np.searchsorted(t_grid, dists, side="left")
-            present = gidx[:, :, None] <= grid_pos                        # (m, P, T)
-            cls = self._class_indices((present * weights[:, None]).sum(axis=1))
+            diff = batch[:, iu[0]] - batch[:, iu[1]]
+            dists = np.sqrt((diff * diff).sum(axis=2))                    # (m, P)
+            masks = np.zeros((len(batch), T), dtype=np.int64)
+            for p, w in enumerate(weights):
+                masks += (dists[:, p, None] <= t_grid) * w
+            cls = self._class_indices(masks)
             h[lo:lo + len(batch)] = cls == cid
             minus[lo:lo + len(batch)] = cls >= first_denser
         return h, minus

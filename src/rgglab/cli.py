@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import build_atlas, named_shape, shape_from_edges
-from .config import ConfigError, EXPERIMENT_KINDS, parse_config
+from .config import ConfigError, parse_config
 from .counting import (
     ANNULUS_ABSOLUTE,
     ANNULUS_RADIUS_MULTIPLE,

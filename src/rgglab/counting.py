@@ -213,24 +213,47 @@ def count_subgraphs(cloud: PointCloud, req: CountRequest) -> CountingCurve:
 # ---------------------------------------------------------------------------
 
 class _PermutationClassifier:
-    """Isomorphism test by explicit permutation search, memoized per mask."""
+    """Isomorphism test by explicit permutation search, memoized per mask.
+
+    An isomorphism sends every vertex to a vertex of the same degree, so a
+    mask whose sorted degree sequence differs from the shape's is rejected
+    outright, and the search tries only the degree-preserving permutations.
+    """
 
     def __init__(self, shape: GraphShape):
         self.k = shape.k
         self.shape_mask = shape.mask
         self.shape_edges = shape.edge_count
-        self.pb = pair_bit_index(self.k)
-        self.perms = list(itertools.permutations(range(self.k)))
+        self.pb = pair_bit_index(self.k).tolist()
+        shape_deg = self._degrees(shape.edges)
+        self.shape_degree_seq = sorted(shape_deg)
+        self.shape_by_degree = self._by_degree(shape_deg)
         self._memo: dict[int, tuple[bool, bool]] = {}
 
-    def _connected(self, mask: int) -> bool:
+    def _edges(self, mask: int) -> list[tuple[int, int]]:
         k = self.k
-        adj = [[] for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if mask >> self.pb[i, j] & 1:
-                    adj[i].append(j)
-                    adj[j].append(i)
+        return [(i, j) for i in range(k) for j in range(i + 1, k)
+                if mask >> self.pb[i][j] & 1]
+
+    def _degrees(self, edges) -> list[int]:
+        deg = [0] * self.k
+        for i, j in edges:
+            deg[i] += 1
+            deg[j] += 1
+        return deg
+
+    @staticmethod
+    def _by_degree(deg: list[int]) -> dict[int, list[int]]:
+        groups: dict[int, list[int]] = {}
+        for v, dv in enumerate(deg):
+            groups.setdefault(dv, []).append(v)
+        return groups
+
+    def _connected(self, mask: int) -> bool:
+        adj = [[] for _ in range(self.k)]
+        for i, j in self._edges(mask):
+            adj[i].append(j)
+            adj[j].append(i)
         seen = {0}
         stack = [0]
         while stack:
@@ -239,25 +262,35 @@ class _PermutationClassifier:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        return len(seen) == k
+        return len(seen) == self.k
+
+    def _isomorphic(self, mask: int) -> bool:
+        edges = self._edges(mask)
+        deg = self._degrees(edges)
+        if sorted(deg) != self.shape_degree_seq:
+            return False
+        groups = self._by_degree(deg)
+        choices = [itertools.permutations(self.shape_by_degree[dv]) for dv in groups]
+        perm = [0] * self.k
+        for targets in itertools.product(*choices):
+            for group, image in zip(groups.values(), targets):
+                for v, u in zip(group, image):
+                    perm[v] = u
+            m = 0
+            for i, j in edges:
+                m |= 1 << self.pb[perm[i]][perm[j]]
+            if m == self.shape_mask:
+                return True
+        return False
 
     def flags(self, mask: int) -> tuple[bool, bool]:
         """(isomorphic to shape, connected with more edges)."""
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
-        iso = False
-        if bin(mask).count("1") == self.shape_edges:
-            for perm in self.perms:
-                m = 0
-                for i in range(self.k):
-                    for j in range(i + 1, self.k):
-                        if mask >> self.pb[i, j] & 1:
-                            m |= 1 << self.pb[perm[i], perm[j]]
-                if m == self.shape_mask:
-                    iso = True
-                    break
-        more = bin(mask).count("1") > self.shape_edges and self._connected(mask)
+        edge_count = bin(mask).count("1")
+        iso = edge_count == self.shape_edges and self._isomorphic(mask)
+        more = edge_count > self.shape_edges and self._connected(mask)
         self._memo[mask] = (iso, more)
         return iso, more
 

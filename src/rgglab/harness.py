@@ -42,7 +42,6 @@ from .densities import (
 from .limits import HEAVY, LIGHT, LimitCovariance, OracleParams, indicator_values, mixture_covariance
 from .regimes import (
     BoundaryRegimeError,
-    RegimeClass,
     check_growth_condition,
     classify_regime,
     log_tau,

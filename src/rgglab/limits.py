@@ -163,12 +163,12 @@ def indicator_values(shape: GraphShape, configs: np.ndarray, t_grid: np.ndarray,
 
 def _accumulate(sum_m, sq_m, w, a1, a2):
     """Add symmetrized per-sample contributions w * (a1(t) a2(s) + a1(s) a2(t))/2."""
-    e = np.einsum("m,mt,ms->ts", w, a1, a2)
+    e = (w[:, None] * a1).T @ a2
     sum_m += 0.5 * (e + e.T)
     w2 = w * w
-    e2 = np.einsum("m,mt,ms->ts", w2, a1, a2)
+    e2 = (w2[:, None] * a1).T @ a2
     both = a1 * a2
-    cross = np.einsum("m,mt,ms->ts", w2, both, both)
+    cross = (w2[:, None] * both).T @ both
     sq_m += 0.25 * (e2 + e2.T) + 0.5 * cross
 
 
@@ -215,9 +215,12 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
         z2 = _ball_points(rng, count, n_z, d, radius, params.antithetic)
         zeros = np.broadcast_to(zero_col, (count, 1, d))
         cfg1 = np.concatenate([zeros, shared, z1], axis=1)
-        cfg2 = np.concatenate([zeros, shared, z2], axis=1)
         a1 = _mode_values(atlas, params.shape, cfg1, grid, mode).astype(float)
-        a2 = _mode_values(atlas, params.shape, cfg2, grid, mode).astype(float)
+        if n_z == 0:    # ell = k: no z points, so both configurations are cfg1
+            a2 = a1
+        else:
+            cfg2 = np.concatenate([zeros, shared, z2], axis=1)
+            a2 = _mode_values(atlas, params.shape, cfg2, grid, mode).astype(float)
         if light:
             rho = rng.exponential(1.0 / rate, size=count)
             proj_shared = shared[:, :, 0] if n_shared else np.zeros((count, 0))

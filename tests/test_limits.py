@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from rgglab.densities import InvalidParameterError, UnsupportedOperationError
+from rgglab.densities import (
+    InvalidParameterError,
+    UnsupportedOperationError,
+    unit_ball_volume,
+)
 from rgglab.limits import (
     HEAVY,
     IndefiniteCovarianceError,
@@ -23,6 +27,7 @@ from rgglab.limits import (
     mixture_covariance,
     sample_limit_paths,
     self_similarity_report,
+    _ball_points,
 )
 from rgglab.atlas import h_minus, h_plus, h_t, named_shape
 
@@ -207,22 +212,106 @@ def test_params_validation(k2, path3):
         covariance_L(params(k2, alpha=None))
 
 
+def _boundary_configs(d: int, t: float) -> np.ndarray:
+    """k = 3 configurations whose pair (0, 1) lies at distance exactly t along
+    one axis, with the third point t + 0.6 from point 0 on the same axis, so
+    the 3-path at radius t needs the closed-ball rule."""
+    cfgs = np.zeros((d, 3, d))
+    for axis in range(d):
+        cfgs[axis, 1, axis] = t
+        cfgs[axis, 2, axis] = t + 0.6
+    return cfgs
+
+
 def test_indicator_values_match_reference(rng, path3):
     grid = np.array([0.4, 0.9, 1.7])
     # k = 7 (no full lookup table): jittered unit-step chains along e1
     chain = np.stack([np.arange(7.0), np.zeros(7)], axis=1)
-    cases = [(path3, rng.normal(size=(50, 3, 2))),
-             (named_shape(7, "path"), chain + 0.25 * rng.normal(size=(50, 7, 2)))]
+    cases = [(path3, rng.normal(size=(50, 3, d))) for d in (1, 2, 3)]
+    cases += [(named_shape(7, "path"), chain + 0.25 * rng.normal(size=(50, 7, 2)))]
+    for d in (1, 2, 3):
+        tie = _boundary_configs(d, grid[1])
+        assert np.all(np.linalg.norm(tie[:, 0] - tie[:, 1], axis=1) == grid[1])
+        assert np.array_equal(indicator_values(path3, tie, grid, "h"),
+                              np.tile([False, True, False], (d, 1)))
+        cases.append((path3, np.concatenate([tie, rng.normal(size=(20, 3, d))])))
     for shape, cfgs in cases:
         vals = indicator_values(shape, cfgs, grid, "h")
         plus = indicator_values(shape, cfgs, grid, "plus")
         minus = indicator_values(shape, cfgs, grid, "minus")
-        for i in range(50):
+        for i in range(len(cfgs)):
             for j, t in enumerate(grid):
                 assert vals[i, j] == h_t(cfgs[i], t, shape)
                 assert plus[i, j] == h_plus(cfgs[i], t, shape)
                 assert minus[i, j] == h_minus(cfgs[i], t, shape)
-        assert vals.any() and minus.any(), shape
+        assert vals.any() and minus.any(), (shape, cfgs.shape)
+
+
+def _einsum_reference(p: OracleParams, mode: str, light: bool):
+    """(matrix, std_err) of one oracle block by the plain arithmetic: both
+    configurations classified and per-chunk three-operand einsum sums."""
+    d, k, ell, grid = p.d, p.k, p.ell, p.t_grid
+    n_shared, n_z = ell - 1, k - ell
+    radius = k * max(float(grid.max()), np.finfo(float).tiny)
+    volume = unit_ball_volume(d) * radius ** d
+    if light:
+        cinv = 0.0 if math.isinf(p.c) else 1.0 / p.c
+        rate = 2 * k - ell
+        scale = d_constant(d, k, ell) / rate * volume ** (2 * k - ell - 1)
+    else:
+        scale = b_constant(d, k, ell, p.alpha) * volume ** (2 * k - ell - 1)
+    rng = np.random.default_rng(p.seed)
+    sum_m = np.zeros((grid.size, grid.size))
+    sq_m = np.zeros_like(sum_m)
+    remaining = p.n_samples
+    while remaining > 0:
+        count = min(1 << 15, remaining)
+        remaining -= count
+        shared = _ball_points(rng, count, n_shared, d, radius, p.antithetic)
+        z1 = _ball_points(rng, count, n_z, d, radius, p.antithetic)
+        z2 = _ball_points(rng, count, n_z, d, radius, p.antithetic)
+        zeros = np.zeros((count, 1, d))
+        a1 = indicator_values(p.shape, np.concatenate([zeros, shared, z1], axis=1),
+                              grid, mode).astype(float)
+        a2 = indicator_values(p.shape, np.concatenate([zeros, shared, z2], axis=1),
+                              grid, mode).astype(float)
+        w = np.ones(count)
+        if light:
+            rho = rng.exponential(1.0 / rate, size=count)
+            proj_all = np.concatenate([shared[:, :, 0], z1[:, :, 0], z2[:, :, 0]], axis=1)
+            w = np.exp(-cinv * proj_all.sum(axis=1))
+            w *= np.all(rho[:, None] + cinv * proj_all >= 0, axis=1)
+            if p.annulus is not None:
+                K, L = p.annulus
+                for z in (z1, z2):
+                    sat = np.concatenate([shared[:, :, 0], z[:, :, 0]], axis=1)
+                    top = np.maximum(rho, rho + cinv * sat.max(axis=1, initial=0.0))
+                    w *= (K <= top) & (top < L)
+        e = np.einsum("m,mt,ms->ts", w, a1, a2)
+        sum_m += 0.5 * (e + e.T)
+        e2 = np.einsum("m,mt,ms->ts", w * w, a1, a2)
+        cross = np.einsum("m,mt,ms->ts", w * w, a1 * a2, a1 * a2)
+        sq_m += 0.25 * (e2 + e2.T) + 0.5 * cross
+    N = p.n_samples
+    mean = sum_m / N
+    var = np.maximum(sq_m / N - mean ** 2, 0.0)
+    return scale * mean, scale * np.sqrt(var / N)
+
+
+def test_oracle_matches_einsum_reference(path3):
+    # 40 000 samples cross the 2^15 chunk boundary; the grid includes t = 0
+    grid = (0.0, 0.5, 1.0, 1.5)
+    cases = [(params(path3, k=3, ell=ell, grid=grid, n=40_000, seed=21 + ell), mode, False)
+             for ell in (1, 2, 3) for mode in ("h", "plus", "minus")]
+    cases += [(params(path3, k=3, ell=ell, c=1.0, grid=grid, n=40_000, seed=31 + ell,
+                      annulus=annulus), "h", True)
+              for ell in (1, 2, 3) for annulus in (None, (0.7, 2.0))]
+    for p, mode, light in cases:
+        got = (covariance_M if light else covariance_L)(p, mode=mode)
+        matrix, std_err = _einsum_reference(p, mode, light)
+        assert got.matrix.any(), (p.ell, mode, light, p.annulus)
+        assert np.array_equal(got.matrix, matrix), (p.ell, mode, light, p.annulus)
+        assert np.array_equal(got.std_err, std_err), (p.ell, mode, light, p.annulus)
 
 
 def _poisson_pair_cumulants(n: float) -> tuple[float, float, float]:
