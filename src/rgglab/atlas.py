@@ -227,15 +227,15 @@ class Atlas:
         return "\n".join(lines) + "\n"
 
 
-def _build_full(k: int) -> list[int]:
-    """Canonical masks of all connected classes by scanning every mask."""
+def _build_full(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Scan every mask: the classes' canonical masks, the (2^P,) connected
+    flags, and the canonical form of each connected mask in mask order."""
     n_masks = 1 << pair_count(k)
     connected = np.fromiter(
         (is_connected_mask(m, k) for m in range(n_masks)), dtype=bool, count=n_masks
     )
-    masks = np.nonzero(connected)[0].astype(np.int64)
-    canon = canonical_masks(masks, k)
-    return sorted(set(int(c) for c in canon))
+    canon = canonical_masks(np.nonzero(connected)[0].astype(np.int64), k)
+    return sorted(set(canon.tolist())), connected, canon
 
 
 def _build_by_augmentation(k: int) -> list[int]:
@@ -268,7 +268,10 @@ def build_atlas(k: int) -> Atlas:
     if not isinstance(k, (int, np.integer)) or not 2 <= k <= MAX_ORDER:
         raise UnsupportedOrderError(f"vertex count must be an integer in 2..{MAX_ORDER}, got {k!r}")
     k = int(k)
-    canon_list = _build_full(k) if k <= FULL_TABLE_MAX else _build_by_augmentation(k)
+    if k <= FULL_TABLE_MAX:
+        canon_list, connected, canon_connected = _build_full(k)
+    else:
+        canon_list = _build_by_augmentation(k)
 
     classes = []
     for canon in canon_list:
@@ -285,17 +288,11 @@ def build_atlas(k: int) -> Atlas:
 
     class_table = None
     if k <= FULL_TABLE_MAX:
-        n_masks = 1 << pair_count(k)
-        all_masks = np.arange(n_masks, dtype=np.int64)
-        canon_all = canonical_masks(all_masks, k)
-        connected = np.fromiter(
-            (is_connected_mask(m, k) for m in range(n_masks)), dtype=bool, count=n_masks
-        )
-        class_table = np.full(n_masks, -1, dtype=np.int16)
+        class_table = np.full(connected.size, -1, dtype=np.int16)
         lut = np.full(canon_list[-1] + 1, -1, dtype=np.int16)
         for canon, idx in canon_to_index.items():
             lut[canon] = idx
-        class_table[connected] = lut[canon_all[connected]]
+        class_table[connected] = lut[canon_connected]
         class_table.flags.writeable = False
 
     return Atlas(

@@ -31,23 +31,35 @@ class CloudFormatError(ValueError):
     """Raised when a binary cloud file's size does not match its header."""
 
 
-@dataclass
 class PointCloud:
-    """One Poisson-process realization, possibly restricted to an exterior."""
+    """One Poisson-process realization, possibly restricted to an exterior.
 
-    points: np.ndarray
-    norms: np.ndarray
-    n: float
-    seed: object = None
-    restricted_to: float | None = None
+    ``norms`` (the Euclidean norm of each point) may be given; otherwise it
+    is computed on first read, since the core-coverage path never reads it.
+    """
 
-    def __post_init__(self) -> None:
-        self.points = np.ascontiguousarray(self.points, dtype=np.float64)
+    __slots__ = ("points", "_norms", "n", "seed", "restricted_to")
+
+    def __init__(self, points: np.ndarray, norms: np.ndarray | None = None, *, n: float,
+                 seed: object = None, restricted_to: float | None = None) -> None:
+        self.points = np.ascontiguousarray(points, dtype=np.float64)
         if self.points.ndim != 2:
             raise ValueError("points must be (N, d)")
-        self.norms = np.ascontiguousarray(self.norms, dtype=np.float64)
-        if self.norms.shape != (self.points.shape[0],):
-            raise ValueError("norms must match points")
+        if norms is not None:
+            norms = np.ascontiguousarray(norms, dtype=np.float64)
+            if norms.shape != (self.points.shape[0],):
+                raise ValueError("norms must match points")
+        self._norms = norms
+        self.n = n
+        self.seed = seed
+        self.restricted_to = restricted_to
+
+    @property
+    def norms(self) -> np.ndarray:
+        # threads may race on the first read; both compute the same array
+        if self._norms is None:
+            self._norms = np.linalg.norm(self.points, axis=1)
+        return self._norms
 
     @property
     def d(self) -> int:
@@ -59,10 +71,8 @@ class PointCloud:
 
 def make_cloud(points: np.ndarray, n: float = 0.0, seed=None,
                restricted_to: float | None = None) -> PointCloud:
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    norms = np.linalg.norm(points, axis=1)
-    return PointCloud(points=points, norms=norms, n=n, seed=seed,
-                      restricted_to=restricted_to)
+    return PointCloud(points=np.atleast_2d(np.asarray(points, dtype=np.float64)), n=n,
+                      seed=seed, restricted_to=restricted_to)
 
 
 # annulus scaling conventions for the Max-norm gate

@@ -44,23 +44,95 @@ _TABLE_SIZE = 4096
 _TABLE_TAIL = 1e-12          # tabulate the inverse CDF out to this tail mass
 _RESIDUAL_W = 1e-18          # truncate ratio integrands below this weight
 _TAIL_CACHE_SIZE = 256       # memoized tail integrals kept per density
+_BUCKETS = 1 << 16           # inverse-CDF interval lookup buckets over [0, max_cdf]
+_EVAL_CHUNK = 4096           # inverse-CDF values evaluated per cache-sized chunk
 
 
 @dataclass
 class _InverseCdf:
-    """Monotone tabulated inverse of a CDF given on an r-grid."""
+    """Monotone tabulated inverse of a CDF given on an r-grid.
+
+    scipy's ``PchipInterpolator`` builds the cubic coefficients; calls
+    evaluate them here with the same arithmetic as scipy's
+    ``PPoly(extrapolate=False)`` on ``min(u, max_cdf)``, bit for bit.  A
+    bucket table over [0, max_cdf] finds each u's interval without a full
+    binary search.  Every table is built in ``__post_init__`` and never
+    written afterwards: exterior tables are shared by worker threads.
+    """
 
     r: np.ndarray
     cdf: np.ndarray
-    _interp: interpolate.PchipInterpolator = field(init=False, repr=False)
+    max_cdf: float = field(init=False)
 
     def __post_init__(self) -> None:
         cdf, idx = np.unique(self.cdf, return_index=True)
-        self._interp = interpolate.PchipInterpolator(cdf, self.r[idx], extrapolate=False)
+        if cdf[0] < 0:
+            raise ValueError("CDF values must be nonnegative")
+        c = interpolate.PchipInterpolator(cdf, self.r[idx], extrapolate=False).c
         self.max_cdf = float(cdf[-1])
+        self._x = np.append(cdf, np.inf)            # breakpoints, then a sentinel
+        # scipy evaluates (0 + c3) + c2*s + c1*(s*s) + c0*((s*s)*s) on the
+        # interval x[i] <= u < x[i+1], and on the last one at u = x[-1].  The
+        # tables are indexed by k = #{breakpoints <= u} = i + 1, so they are
+        # shifted by one, and k = len(x) repeats the last interval
+        def by_count(a):
+            return np.concatenate([[np.nan], a, a[-1:]])
+
+        self._left = by_count(cdf[:-1])
+        self._c3 = 0.0 + by_count(c[3])
+        self._c2, self._c1, self._c0 = (by_count(row) for row in c[2::-1])
+        # a breakpoint's bucket uses the expression queries use; as
+        # floor(v * scale) is monotone in v, the breakpoints of buckets before
+        # v's are below v and those of buckets after it above v
+        self._scale = _BUCKETS / self.max_cdf      # max_cdf > 0: PCHIP needs two points
+        bucket = (cdf * self._scale).astype(np.intp)
+        # breakpoints in earlier buckets: j for the buckets in (bucket[j-1], bucket[j]]
+        self._before = np.repeat(np.arange(cdf.size + 1, dtype=np.int32),
+                                 np.diff(bucket, prepend=-1, append=_BUCKETS))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self._interp(np.minimum(u, self.max_cdf))
+        u = np.asarray(u, dtype=np.float64)
+        v = np.minimum(u.ravel(), self.max_cdf)
+        invalid = ~(v >= self._x[0])                           # True for NaN
+        any_invalid = invalid.any()
+        if any_invalid:
+            v[invalid] = self._x[0]
+        bucket = (v * self._scale).astype(np.intp)            # floor, as v >= 0
+        # k = #{breakpoints <= v}: those of earlier buckets, plus the next
+        # breakpoint if it is <= v; it is exact unless the one after, then in
+        # the same bucket, is <= v too, which a binary search settles
+        k = self._before[bucket]
+        k += v >= self._x[k]
+        crowded = v >= self._x[k]
+        if crowded.any():
+            k[crowded] = np.searchsorted(self._x, v[crowded], side="right")
+        out = np.empty_like(v)
+        for lo in range(0, v.size, _EVAL_CHUNK):
+            j = k[lo:lo + _EVAL_CHUNK]
+            s = v[lo:lo + _EVAL_CHUNK] - self._left[j]
+            s2 = s * s
+            res = self._c3[j] + self._c2[j] * s
+            res += self._c1[j] * s2
+            s2 *= s
+            res += self._c0[j] * s2
+            out[lo:lo + _EVAL_CHUNK] = res
+        if any_invalid:
+            out[invalid] = np.nan
+        return out.reshape(u.shape)
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(z, axis=1)``, bit for bit, without its per-row reduction.
+
+    numpy adds fewer than 8 terms in order, so below 8 columns summing the
+    squared columns left to right gives the same bits.
+    """
+    if z.shape[1] >= 8:
+        return np.linalg.norm(z, axis=1)
+    sq = z[:, 0] * z[:, 0]
+    for j in range(1, z.shape[1]):
+        sq += z[:, j] * z[:, j]
+    return np.sqrt(sq, out=sq)
 
 
 class RadialDensity:
@@ -168,12 +240,6 @@ class RadialDensity:
             return 1.0
         return math.exp(self.log_tail_prob(R))
 
-    def radial_cdf(self, r):
-        """P(||X|| <= r) via the quadrature tail (test oracle, not the sampler table)."""
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([1.0 - self.tail_prob(float(v)) if v > 0 else 0.0 for v in rs])
-        return out if np.ndim(r) else float(out[0])
-
     # -- sampling ------------------------------------------------------------
     def _radial_inverse(self) -> _InverseCdf:
         if self._full_inverse is None:
@@ -188,9 +254,10 @@ class RadialDensity:
 
     def _directions(self, rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.standard_normal((size, self.d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        norms = _row_norms(z)[:, None]
         norms[norms == 0] = 1.0
-        return z / norms
+        z /= norms
+        return z
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """iid points from f: tabulated inverse-CDF radius, uniform direction."""
@@ -200,7 +267,9 @@ class RadialDensity:
         beyond = u > inv.max_cdf
         if beyond.any():
             r[beyond] = self._tail_inverse_asymptotic(1.0 - u[beyond])
-        return r[:, None] * self._directions(rng, size)
+        dirs = self._directions(rng, size)
+        dirs *= r[:, None]
+        return dirs
 
     def _exterior_inverse(self, R: float) -> tuple[_InverseCdf, float]:
         cached = self._exterior_cache.get(R)
@@ -232,7 +301,9 @@ class RadialDensity:
         inv, _ = self._exterior_inverse(R)
         u = rng.random(size)
         r = R + np.asarray(inv(u), dtype=float)
-        return r[:, None] * self._directions(rng, size)
+        dirs = self._directions(rng, size)
+        dirs *= r[:, None]
+        return dirs
 
     # -- family-specific hooks ------------------------------------------------
     def a_function(self, r):
@@ -307,11 +378,6 @@ class VonMisesDensity(RadialDensity):
         if self.tau < 1:
             return math.inf
         return 1.0 if self.tau == 1 else 0.0
-
-    @property
-    def slowly_varying_constant(self) -> float:
-        """The constant slowly varying factor L(r) = C."""
-        return self.C
 
     def _g(self, r):
         return np.exp(-self.psi(r))
@@ -571,11 +637,6 @@ class TableSchedule(RadiusSchedule):
 # Poisson cloud sampling
 # ---------------------------------------------------------------------------
 
-def sample_point(density: RadialDensity, rng: np.random.Generator) -> np.ndarray:
-    """One draw from f."""
-    return density.sample(rng, 1)[0]
-
-
 def sample_poisson_cloud(n: float, density: RadialDensity, rng: np.random.Generator,
                          exterior_radius: float | None = None, seed=None):
     """Poisson(n f) process; with ``exterior_radius`` only its restriction to
@@ -595,6 +656,5 @@ def sample_poisson_cloud(n: float, density: RadialDensity, rng: np.random.Genera
         count = int(rng.poisson(lam))
         pts = density.sample_exterior(rng, count, exterior_radius)
         restricted = float(exterior_radius)
-    norms = np.linalg.norm(pts, axis=1) if count else np.empty(0)
-    return PointCloud(points=pts.reshape(count, density.d), norms=norms, n=n,
-                      seed=seed, restricted_to=restricted)
+    return PointCloud(points=pts.reshape(count, density.d), n=n, seed=seed,
+                      restricted_to=restricted)

@@ -48,10 +48,8 @@ from .regimes import (
     standardize,
 )
 
-# engineering defaults for finite-n normality checks; the raw moments are
-# always persisted so thresholds can be re-evaluated after the fact
-SKEW_THRESHOLD = 0.3
-KURT_THRESHOLD = 0.6
+# p-value floor of the Poisson-layer goodness-of-fit flag; the p-values are
+# always persisted so the flag can be re-evaluated after the fact
 KS_P_THRESHOLD = 0.01
 BAND_FRACTION = 0.9
 

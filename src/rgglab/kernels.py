@@ -24,10 +24,6 @@ _QUERY_SLACK = 1e-9
 _CHUNK = 1 << 14
 
 
-def _cell_coords(points: np.ndarray, side: float) -> np.ndarray:
-    return np.floor(points / side).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # adjacency at a fixed radius (k-d tree pair search)
 # ---------------------------------------------------------------------------
@@ -104,14 +100,23 @@ def accumulate_curves(points, norms, indptr, indices, t_grid, ann_lo, ann_hi,
 # ---------------------------------------------------------------------------
 
 def occupied_cells(points: np.ndarray, g: float, base: np.ndarray, dims: np.ndarray):
-    """Boolean occupancy over the integer box [base, base+dims) of grid-g cells."""
-    cells = _cell_coords(np.ascontiguousarray(points, dtype=np.float64), g)
-    base = np.asarray(base, dtype=np.int64)
-    dims = np.asarray(dims, dtype=np.int64)
-    rel = cells - base
-    inside = np.all((rel >= 0) & (rel < dims), axis=1)
+    """Boolean occupancy over the integer box [base, base+dims) of grid-g cells.
+
+    Cell ``floor(p / g) - base`` of each point is read as one C-order flat
+    index, built axis by axis; a coordinate is inside iff, viewed unsigned,
+    it is below its dimension (negatives wrap to huge values).
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    for j, (lo, size) in enumerate(zip(np.asarray(base).tolist(), np.asarray(dims).tolist())):
+        rel = np.floor(points[:, j] / g).astype(np.int64)
+        rel -= lo
+        ok = rel.view(np.uint64) < size
+        if j == 0:
+            flat, inside = rel, ok
+        else:
+            flat *= size
+            flat += rel
+            inside &= ok
     occ = np.zeros(int(np.prod(dims)), dtype=bool)
-    if inside.any():
-        flat = np.ravel_multi_index(rel[inside].T, dims)
-        occ[flat] = True
+    occ[flat[inside]] = True
     return occ

@@ -289,3 +289,106 @@ def test_tail_integral_memoized(monkeypatch):
     _, total = density._exterior_inverse(R)
     assert total == density._tail_ratio_integral(R)
     assert len(calls) == n_quad
+
+
+def _pchip_reference(inv, u):
+    """scipy's own evaluation of the inverse-CDF table, as rgglab did before."""
+    cdf, idx = np.unique(inv.cdf, return_index=True)
+    spline = interpolate.PchipInterpolator(cdf, inv.r[idx], extrapolate=False)
+    return spline(np.minimum(u, inv.max_cdf))
+
+
+def _probe_points(inv, rng):
+    """Random u, every breakpoint and its neighbouring floats, and the edges."""
+    x = np.unique(inv.cdf)
+    return np.concatenate([
+        rng.random(20_000), x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+        [0.0, inv.max_cdf, 1.0, 1.5, np.inf],          # u = 0 and u >= max_cdf
+        [-1e-300, -0.5, -np.inf, np.nan],              # below x[0], and NaN
+    ])
+
+
+@pytest.mark.parametrize("density", [
+    PowerLawDensity(1, 2.0), PowerLawDensity(2, 4.0), PowerLawDensity(3, 5.0),
+    VonMisesDensity(2, 0.5), VonMisesDensity(2, 1.0),
+], ids=["power-d1", "power-d2", "power-d3", "vonmises-0.5", "vonmises-1"])
+def test_inverse_cdf_matches_pchip(density):
+    """The bucketed evaluator reproduces scipy's PCHIP evaluation bit for bit."""
+    rng = np.random.default_rng(17)
+    tables = [density._radial_inverse()]
+    tables += [density._exterior_inverse(R)[0] for R in (0.7, 4.0, 25.0)]
+    for inv in tables:
+        u = _probe_points(inv, rng)
+        got = inv(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, _pchip_reference(inv, u), equal_nan=True)
+        assert np.isnan(got[-4:]).all()
+
+
+def test_inverse_cdf_crowded_buckets():
+    """Breakpoints packed into single buckets fall back to a binary search."""
+    from rgglab.densities import _BUCKETS, _InverseCdf
+
+    rng = np.random.default_rng(5)
+    width = 1.0 / _BUCKETS
+    cdf = np.concatenate([
+        np.linspace(0.0, 0.3 * width, 40),               # bucket 0
+        0.5 + np.linspace(0.1, 0.9, 25) * width,         # one bucket mid-table
+        np.sort(rng.uniform(0.6, 1.0, 300)),
+    ])
+    inv = _InverseCdf(r=np.cumsum(rng.uniform(0.1, 1.0, cdf.size)), cdf=cdf)
+    assert (np.diff(inv._before) > 1).sum() >= 2          # buckets holding several breakpoints
+    u = np.concatenate([_probe_points(inv, rng),
+                        rng.uniform(0.0, width, 2000), 0.5 + rng.uniform(0.0, width, 2000)])
+    assert np.array_equal(inv(u), _pchip_reference(inv, u), equal_nan=True)
+    # a call leaves the table as it was: worker threads share exterior tables
+    before = {k: np.copy(v) for k, v in vars(inv).items() if isinstance(v, np.ndarray)}
+    inv(u)
+    assert all(np.array_equal(v, vars(inv)[k], equal_nan=True) for k, v in before.items())
+
+
+def _reference_directions(rng, n, d):
+    z = rng.standard_normal((n, d))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return z / norms
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_directions_match_linalg_norm(d):
+    """Directions keep the bits of dividing by np.linalg.norm, on both sides
+    of the column count where numpy's summation changes order."""
+    got = PowerLawDensity(d, d + 2.0)._directions(np.random.default_rng(3), 5000)
+    assert np.array_equal(got, _reference_directions(np.random.default_rng(3), 5000, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_matches_reference(d):
+    """Full and exterior samples keep the bits of scipy's PCHIP and np.linalg.norm."""
+    density = PowerLawDensity(d, d + 2.0)
+    n = 5000
+    R = 2.5
+    inv_full, inv_ext = density._radial_inverse(), density._exterior_inverse(R)[0]
+    for draw, inv, shift in ((lambda g: density.sample(g, n), inv_full, 0.0),
+                             (lambda g: density.sample_exterior(g, n, R), inv_ext, R)):
+        ref_rng = np.random.default_rng(8)
+        u = ref_rng.random(n)
+        r = shift + np.asarray(_pchip_reference(inv, u), dtype=float)
+        expected = r[:, None] * _reference_directions(ref_rng, n, d)
+        assert np.array_equal(draw(np.random.default_rng(8)), expected)
+
+
+def test_point_cloud_norms_lazy(power24):
+    from rgglab.counting import PointCloud
+
+    cloud = sample_poisson_cloud(300, power24, np.random.default_rng(4))
+    assert cloud._norms is None                       # the sampler computes no norms
+    assert np.array_equal(cloud.norms, np.linalg.norm(cloud.points, axis=1))
+    given = np.arange(len(cloud), dtype=float)
+    kept = PointCloud(points=cloud.points, norms=given, n=cloud.n, seed=1, restricted_to=None)
+    assert np.array_equal(kept.norms, given)
+    with pytest.raises(ValueError):
+        PointCloud(points=cloud.points, norms=given[:-1], n=cloud.n, seed=1, restricted_to=None)
+    with pytest.raises(ValueError):
+        PointCloud(points=np.zeros(3), n=1.0)
+    assert len(PointCloud(points=np.empty((0, 2)), n=1.0).norms) == 0

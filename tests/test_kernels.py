@@ -15,6 +15,13 @@ def test_occupied_cells_matches_pointwise(rng):
         # the cloud spills past the box on every side
         lo, hi = (base - 2) * g, (base + dims + 2) * g
         pts = rng.uniform(lo, hi, size=(400, d))
+        # points exactly on cell boundaries m * g, negative m included
+        edges = rng.integers(base - 2, base + dims + 3, size=(200, d)) * g
+        # points far outside the box along each axis, in both directions
+        far = pts[:2 * d].copy()
+        for j in range(d):
+            far[2 * j, j], far[2 * j + 1, j] = -1e6 * g, 1e6 * g
+        pts = np.concatenate([pts, edges, far])
         occ = kernels.occupied_cells(pts, g, base, dims)
         expected = np.zeros(int(np.prod(dims)), dtype=bool)
         outside = 0
