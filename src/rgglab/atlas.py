@@ -227,13 +227,29 @@ class Atlas:
         return "\n".join(lines) + "\n"
 
 
+def _connected_flags(k: int) -> np.ndarray:
+    """(2^P,) bool: ``is_connected_mask`` of every mask at once.  The set
+    reached from vertex 0 grows by its neighbours in k - 1 rounds, enough
+    for any path on k vertices."""
+    pb = pair_bit_index(k)
+    masks = np.arange(1 << pair_count(k), dtype=np.int64)
+    nbr = np.zeros((k, masks.size), dtype=np.int64)
+    for i in range(k):
+        for j in range(i + 1, k):
+            bit = (masks >> pb[i, j]) & 1
+            nbr[i] |= bit << j
+            nbr[j] |= bit << i
+    reached = np.ones(masks.size, dtype=np.int64)
+    for _ in range(k - 1):
+        for i in range(k):
+            reached |= ((reached >> i) & 1) * nbr[i]
+    return reached == (1 << k) - 1
+
+
 def _build_full(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Scan every mask: the classes' canonical masks, the (2^P,) connected
     flags, and the canonical form of each connected mask in mask order."""
-    n_masks = 1 << pair_count(k)
-    connected = np.fromiter(
-        (is_connected_mask(m, k) for m in range(n_masks)), dtype=bool, count=n_masks
-    )
+    connected = _connected_flags(k)
     canon = canonical_masks(np.nonzero(connected)[0].astype(np.int64), k)
     return sorted(set(canon.tolist())), connected, canon
 

@@ -13,6 +13,7 @@ absent): RGGLAB_SEED, RGGLAB_WORKERS, RGGLAB_OUT.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import math
 import os
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atlas import build_atlas, named_shape, shape_from_edges
-from .config import ConfigError, parse_config
+from .atlas import GraphShape, build_atlas
+from .config import ConfigError, build_density, build_shape, parse_config
 from .counting import (
     ANNULUS_ABSOLUTE,
     ANNULUS_RADIUS_MULTIPLE,
@@ -36,10 +37,9 @@ from .counting import (
 )
 from .densities import (
     InvalidParameterError,
-    PowerLawDensity,
+    RadialDensity,
     ScheduleUndefinedError,
     UnsupportedOperationError,
-    VonMisesDensity,
     core_radius,
     poisson_layer_radius,
     sample_poisson_cloud,
@@ -70,14 +70,19 @@ def _env_default(name: str, cast, fallback):
     return cast(raw)
 
 
-def _density_from_args(args) -> PowerLawDensity | VonMisesDensity:
-    if args.family == "power":
-        if args.alpha is None:
-            raise ConfigError("--family power needs --alpha")
-        return PowerLawDensity(args.d, args.alpha)
-    if args.tau is None:
-        raise ConfigError("--family vonmises needs --tau")
-    return VonMisesDensity(args.d, args.tau)
+def _config_section(name: str, values: dict) -> configparser.ConfigParser:
+    """Flags as one INI section, so they go through the config file's rules."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser[name] = values
+    return parser
+
+
+def _density_from_args(args) -> RadialDensity:
+    values = {"family": args.family, "d": str(args.d)}
+    for key in ("alpha", "tau"):
+        if getattr(args, key) is not None:
+            values[key] = repr(getattr(args, key))
+    return build_density(_config_section("density", values))
 
 
 def _add_density_flags(sub):
@@ -140,14 +145,13 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _shape_from_args(args):
+def _shape_from_args(args) -> GraphShape:
+    values = {"k": str(args.k)}
     if args.edges:
-        edges = []
-        for item in args.edges.split(";"):
-            i, j = item.split("-")
-            edges.append((int(i), int(j)))
-        return shape_from_edges(args.k, edges)
-    return named_shape(args.k, args.shape_name)
+        values["edges"] = args.edges
+    else:
+        values["name"] = args.shape_name
+    return build_shape(_config_section("shape", values))
 
 
 def _cmd_count(args) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 from rgglab.atlas import (
     UnsupportedOrderError,
+    _connected_flags,
     build_atlas,
     canonical_mask,
     config_mask,
@@ -213,6 +214,13 @@ def test_connectivity_helper():
     pb = pair_bit_index(3)
     assert is_connected_mask((1 << pb[0, 1]) | (1 << pb[1, 2]), 3)
     assert not is_connected_mask(1 << pb[0, 1], 3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_connected_flags_match_scalar_reference(k):
+    flags = _connected_flags(k)
+    assert flags.dtype == bool and flags.shape == (1 << (k * (k - 1) // 2),)
+    assert flags.tolist() == [is_connected_mask(m, k) for m in range(flags.size)]
 
 
 def test_config_mask_boundary_tie():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import rgglab
 from rgglab.atlas import build_atlas
@@ -41,6 +42,38 @@ band = 0.3, 3.0
 """
 
 
+SMALL_POISSON_LAYER = """
+[density]
+family = power
+d = 2
+alpha = 4.0
+
+[schedule]
+kind = poisson_layer
+k = 2
+
+[shape]
+k = 2
+name = complete
+
+[experiment]
+kind = poisson_layer
+t_grid = 1.0
+n_ladder = 1e4
+replications = 200
+master_seed = 1
+t_fixed = 1.0
+"""
+
+
+def _child_env() -> dict:
+    """The environment of a child that imports the same rgglab as this process."""
+    package_root = str(Path(rgglab.__file__).resolve().parents[1])
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(capsys, *argv):
     code = parse_and_dispatch(list(argv))
     captured = capsys.readouterr()
@@ -61,10 +94,7 @@ def test_atlas_bad_order(capsys):
 
 def test_module_entry_point():
     """``python -m rgglab.cli`` dispatches, exit code included."""
-    # the child imports the same rgglab as this process, however it was found
-    package_root = str(Path(rgglab.__file__).resolve().parents[1])
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = _child_env()
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "rgglab.cli", *argv],
@@ -234,3 +264,52 @@ def test_config_parser_validation(tmp_path):
 def test_usage_error_exit_2(capsys):
     assert parse_and_dispatch(["radii", "--family", "power"]) == 2
     capsys.readouterr()
+
+
+def test_experiments_never_import_scipy_stats(tmp_path):
+    """A CLT and a Poisson-layer experiment run in a fresh interpreter without
+    loading ``scipy.stats``; the chi-square p-value it reports is scipy's."""
+    (tmp_path / "clt.ini").write_text(SMALL_CLT)
+    (tmp_path / "layer.ini").write_text(SMALL_POISSON_LAYER)
+    script = (
+        "import json, sys\n"
+        "from rgglab.cli import parse_and_dispatch\n"
+        "codes = [parse_and_dispatch(['experiment', '--config', name + '.ini',"
+        " '--out', name]) for name in ('clt', 'layer')]\n"
+        "print(json.dumps([codes, 'scipy.stats' in sys.modules]))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                           capture_output=True, text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    codes, loaded = json.loads(child.stdout.splitlines()[-1])
+    assert set(codes) <= {0, 1}   # both ran to a verdict, pass or fail
+    assert loaded is False
+    header, row = (tmp_path / "layer" / "summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), row.split(",")))
+    assert int(summary["dof"]) >= 1
+    assert float(summary["p_value"]) == stats.chi2.sf(float(summary["chi2"]),
+                                                      int(summary["dof"]))
+
+
+def test_density_and_shape_flags_follow_config_rules(capsys):
+    base = ("radii", "--d", "2", "--n", "1e5")
+    for flags, message in (
+        (("--family", "power", "--alpha", "4", "--tau", "1"), "tau is a von Mises parameter"),
+        (("--family", "vonmises", "--tau", "1", "--alpha", "4"), "alpha is a power-law parameter"),
+        (("--family", "power"), "power family needs alpha"),
+        (("--family", "vonmises"), "vonmises family needs tau"),
+    ):
+        code, out, err = run_cli(capsys, *base, *flags)
+        assert code == 2 and out == "", flags
+        assert f"configuration error: [density] {message}" in err
+    count = ("count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
+             "--k", "3", "--t-grid", "1.0")
+    for edges in ("0-1;1-x", "0-1-2", "0-1;2"):
+        code, out, err = run_cli(capsys, *count, "--edges", edges)
+        assert code == 2 and out == "", edges
+        assert "configuration error: [shape] bad edge" in err
+    code, _, err = run_cli(capsys, *count, "--shape-name", "no_such_shape")
+    assert code == 2 and "configuration error: [shape]" in err
+    code, out, _ = run_cli(capsys, *count, "--edges", "0-1; 1-2;")
+    assert code == 0
+    assert out == run_cli(capsys, *count, "--shape-name", "path")[1]
