@@ -27,6 +27,8 @@ MAX_ORDER = 7          # largest supported vertex count
 FULL_TABLE_MAX = 6     # largest k with full per-mask lookup tables
 # configurations classified per vectorized batch (bounds the (m, T) temporaries)
 _INDICATOR_CHUNK = 1 << 14
+# entries of one float64 (masks, k!) product in ``canonical_masks``
+_CANON_PRODUCT_ENTRIES = 1 << 19
 
 
 class UnsupportedOrderError(ValueError):
@@ -52,27 +54,33 @@ def pair_bit_index(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _perm_powers(k: int) -> np.ndarray:
-    """(k!, P) array: 2**target_bit of each source bit under each permutation."""
+    """(P, k!) float64 array: 2**target_bit of each source bit under each permutation."""
     pb = pair_bit_index(k)
     perms = list(itertools.permutations(range(k)))
-    out = np.empty((len(perms), pair_count(k)), dtype=np.int64)
+    out = np.empty((pair_count(k), len(perms)), dtype=np.float64)
     for pi, perm in enumerate(perms):
         for i in range(k):
             for j in range(i + 1, k):
-                out[pi, pb[i, j]] = 1 << pb[perm[i], perm[j]]
+                out[pb[i, j], pi] = 1 << pb[perm[i], perm[j]]
     out.flags.writeable = False
     return out
 
 
 def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
-    """Canonical form (min permuted bitmask) for an array of masks."""
+    """Canonical form (min permuted bitmask) for a 1-d array of masks.
+
+    Each permuted mask is one entry of the float64 product of the bit matrix
+    with ``_perm_powers``: a sum of distinct powers of two below 2**21, so
+    exact.  Chunks keep the (chunk, k!) product near 4 MB.
+    """
     masks = np.asarray(masks, dtype=np.int64)
-    P = pair_count(k)
-    bits = (masks[:, None] >> np.arange(P)) & 1
     powers = _perm_powers(k)
-    best = np.full(masks.shape, np.iinfo(np.int64).max, dtype=np.int64)
-    for row in powers:
-        np.minimum(best, bits @ row, out=best)
+    shifts = np.arange(powers.shape[0])
+    chunk = max(1, _CANON_PRODUCT_ENTRIES // powers.shape[1])
+    best = np.empty(masks.shape, dtype=np.int64)
+    for lo in range(0, masks.size, chunk):
+        bits = ((masks[lo:lo + chunk, None] >> shifts) & 1).astype(np.float64)
+        best[lo:lo + chunk] = (bits @ powers).min(axis=1)
     return best
 
 
@@ -166,9 +174,9 @@ class Atlas:
         return self._canon_to_index[shape.canonical_form]
 
     def _class_indices(self, masks: np.ndarray) -> np.ndarray:
-        """Elementwise ``class_index_of_mask`` over an int64 mask array."""
+        """Elementwise ``class_index_of_mask`` over an integer mask array."""
         if self._class_table is not None:
-            return self._class_table[masks]
+            return np.take(self._class_table, masks)
         # no full table: canonicalize the masks not met before in one batch.
         # Threads share the memo; entries are only added and depend on the
         # mask alone, so a race at worst computes one twice.
@@ -196,9 +204,10 @@ class Atlas:
         t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
         if shape.k != self.k or configs.ndim != 3 or configs.shape[1] != self.k:
             raise ValueError(f"need (M, {self.k}, d) configurations of a k={self.k} shape")
-        M, T = configs.shape[0], t_grid.size
-        iu = np.triu_indices(self.k, 1)
-        weights = (np.int64(1) << pair_bit_index(self.k)[iu]).tolist()
+        M, d, T = configs.shape[0], configs.shape[2], t_grid.size
+        # pairs in lexicographic order, so pair p sets bit p
+        pairs = list(zip(*np.triu_indices(self.k, 1)))
+        mask_dtype = np.int16 if len(pairs) < 16 else np.int32    # masks < 2**P
         cid = self.shape_index(shape)
         # classes are sorted by edge count, so "connected with more edges than
         # the shape" is every class index from the first denser class on
@@ -207,14 +216,29 @@ class Atlas:
         minus = np.empty((M, T), dtype=bool)
         for lo in range(0, M, _INDICATOR_CHUNK):
             batch = configs[lo:lo + _INDICATOR_CHUNK]
-            diff = batch[:, iu[0]] - batch[:, iu[1]]
-            dists = np.sqrt((diff * diff).sum(axis=2))                    # (m, P)
-            masks = np.zeros((len(batch), T), dtype=np.int64)
-            for p, w in enumerate(weights):
-                masks += (dists[:, p, None] <= t_grid) * w
+            m = len(batch)
+            masks = np.zeros((m, T), dtype=mask_dtype)
+            within = np.empty(m, dtype=bool)
+            bit = np.empty(m, dtype=mask_dtype)
+            for p, (i, j) in enumerate(pairs):
+                if d >= 8:    # numpy's pairwise sum reorders the additions
+                    diff = batch[:, i] - batch[:, j]
+                    dist = np.sqrt((diff * diff).sum(axis=1))
+                else:         # fewer than 8 terms are added in order
+                    diff = batch[:, i, 0] - batch[:, j, 0]
+                    dist = diff * diff
+                    for c in range(1, d):
+                        diff = batch[:, i, c] - batch[:, j, c]
+                        dist += diff * diff
+                    np.sqrt(dist, out=dist)
+                weight = mask_dtype(1 << p)
+                for g, t in enumerate(t_grid):
+                    np.less_equal(dist, t, out=within)
+                    np.multiply(within, weight, out=bit)
+                    masks[:, g] += bit
             cls = self._class_indices(masks)
-            h[lo:lo + len(batch)] = cls == cid
-            minus[lo:lo + len(batch)] = cls >= first_denser
+            h[lo:lo + m] = cls == cid
+            minus[lo:lo + m] = cls >= first_denser
         return h, minus
 
     # -- export -------------------------------------------------------------

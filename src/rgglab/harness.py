@@ -253,8 +253,6 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         t_idx = int(np.argmin(np.abs(cfg.t_grid - cfg.t_ref)))
         paths = standardize(curves.astype(float), tau_n,
                             leave_one_out=cfg.leave_one_out)
-        per_t_stats = [_normality_stats(curves[:, j].astype(float))
-                       for j in range(cfg.t_grid.size)]
 
         rungs.append({
             "n": n, "R": R, "tau": tau_n,
@@ -266,8 +264,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "band_fraction": band_fraction,
             "ref_ratio": float(ratio[t_idx, t_idx]),
             "ref_ratio_se": float(ratio_se[t_idx, t_idx]),
-            "normality_at_ref": per_t_stats[t_idx],
-            "normality_per_t": per_t_stats,
+            "normality_at_ref": _normality_stats(curves[:, t_idx].astype(float)),
             "decomposition_exact": decomposition_exact,
             "monotone_curves": monotone,
             "standardized_mean_max": float(np.abs(paths.mean(axis=0)).max()),

@@ -31,6 +31,7 @@ from .densities import (
     InvalidParameterError,
     RadialDensity,
     UnsupportedOperationError,
+    _row_norms,
     sphere_surface_area,
     unit_ball_volume,
 )
@@ -79,7 +80,6 @@ class OracleParams:
     annulus: tuple[float, float] | None = None
     n_samples: int = 200_000
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         _check_ell(self.k, self.ell)
@@ -128,20 +128,21 @@ def _psd_clip(matrix: np.ndarray, jitter_budget: float):
 # configuration sampling and indicator evaluation
 # ---------------------------------------------------------------------------
 
-def _ball_points(rng, count: int, m: int, d: int, radius: float, antithetic: bool):
-    """(count, m, d) vectors uniform in B(0, radius); optional radius pairing."""
+def _ball_points(rng, count: int, m: int, d: int, radius: float):
+    """(count, m, d) vectors uniform in B(0, radius)."""
     if m == 0:
         return np.empty((count, 0, d))
     z = rng.standard_normal((count, m, d))
-    nz = np.linalg.norm(z, axis=2, keepdims=True)
+    flat = z.reshape(count * m, d)
+    nz = _row_norms(flat)
     nz[nz == 0] = 1.0
-    u = rng.random((count, m))
-    if antithetic:
-        half = count // 2
-        u[half:2 * half] = 1.0 - u[:half]
-        z[half:2 * half] = z[:half]
-    r = radius * u ** (1.0 / d)
-    return z / nz * r[:, :, None]
+    r = rng.random(count * m)
+    r **= 1.0 / d
+    r *= radius
+    for c in range(d):    # column by column: a length-d inner loop is slow
+        flat[:, c] /= nz
+        flat[:, c] *= r
+    return z
 
 
 def _mode_values(atlas, shape: GraphShape, configs: np.ndarray,
@@ -150,7 +151,9 @@ def _mode_values(atlas, shape: GraphShape, configs: np.ndarray,
     if mode not in ("h", "plus", "minus"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     h, minus = atlas.indicators(configs, t_grid, shape)
-    return {"h": h, "plus": h | minus, "minus": minus}[mode]
+    if mode == "plus":
+        h |= minus
+    return minus if mode == "minus" else h
 
 
 def indicator_values(shape: GraphShape, configs: np.ndarray, t_grid: np.ndarray,
@@ -162,13 +165,23 @@ def indicator_values(shape: GraphShape, configs: np.ndarray, t_grid: np.ndarray,
 
 
 def _accumulate(sum_m, sq_m, w, a1, a2):
-    """Add symmetrized per-sample contributions w * (a1(t) a2(s) + a1(s) a2(t))/2."""
-    e = (w[:, None] * a1).T @ a2
+    """Add symmetrized per-sample contributions w * (a1(t) a2(s) + a1(s) a2(t))/2.
+
+    ``w=None`` means unit weights and skips the weight products: multiplying
+    by 1.0 is exact, and sums of products of 0/1 indicators are exact
+    integers whichever BLAS kernel forms them, so the bits are those of
+    ``w = np.ones(N)``.
+    """
+    e = (a1 if w is None else w[:, None] * a1).T @ a2
     sum_m += 0.5 * (e + e.T)
-    w2 = w * w
-    e2 = (w2[:, None] * a1).T @ a2
     both = a1 * a2
-    cross = (w2[:, None] * both).T @ both
+    if w is None:
+        e2 = e
+        cross = both.T @ both
+    else:
+        w2 = w * w
+        e2 = (w2[:, None] * a1).T @ a2
+        cross = (w2[:, None] * both).T @ both
     sq_m += 0.25 * (e2 + e2.T) + 0.5 * cross
 
 
@@ -206,21 +219,23 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
     sum_m = np.zeros((T, T))
     sq_m = np.zeros((T, T))
     remaining = params.n_samples
-    zero_col = np.zeros((1, 1, d))
     while remaining > 0:
         count = min(_CHUNK, remaining)
         remaining -= count
-        shared = _ball_points(rng, count, n_shared, d, radius, params.antithetic)
-        z1 = _ball_points(rng, count, n_z, d, radius, params.antithetic)
-        z2 = _ball_points(rng, count, n_z, d, radius, params.antithetic)
-        zeros = np.broadcast_to(zero_col, (count, 1, d))
-        cfg1 = np.concatenate([zeros, shared, z1], axis=1)
-        a1 = _mode_values(atlas, params.shape, cfg1, grid, mode).astype(float)
-        if n_z == 0:    # ell = k: no z points, so both configurations are cfg1
+        shared = _ball_points(rng, count, n_shared, d, radius)
+        z1 = _ball_points(rng, count, n_z, d, radius)
+        z2 = _ball_points(rng, count, n_z, d, radius)
+        # the configurations (0, shared, z1) and (0, shared, z2) share one buffer
+        cfg = np.empty((count, k, d))
+        cfg[:, 0] = 0.0
+        cfg[:, 1:ell] = shared
+        cfg[:, ell:] = z1
+        a1 = _mode_values(atlas, params.shape, cfg, grid, mode).astype(float)
+        if n_z == 0:    # ell = k: no z points, so both configurations are the first
             a2 = a1
         else:
-            cfg2 = np.concatenate([zeros, shared, z2], axis=1)
-            a2 = _mode_values(atlas, params.shape, cfg2, grid, mode).astype(float)
+            cfg[:, ell:] = z2
+            a2 = _mode_values(atlas, params.shape, cfg, grid, mode).astype(float)
         if light:
             rho = rng.exponential(1.0 / rate, size=count)
             proj_shared = shared[:, :, 0] if n_shared else np.zeros((count, 0))
@@ -239,7 +254,7 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
                 m2 = np.maximum(rho, rho + top2)
                 w *= (K <= m1) & (m1 < L) & (K <= m2) & (m2 < L)
         else:
-            w = np.ones(count)
+            w = None
         _accumulate(sum_m, sq_m, w, a1, a2)
 
     N = params.n_samples
@@ -367,7 +382,7 @@ def brownian_identity_check(params: OracleParams, mode: str = "plus") -> dict:
     while remaining > 0:
         count = min(_CHUNK, remaining)
         remaining -= count
-        y = _ball_points(rng, count, k - 1, d, radius, params.antithetic)
+        y = _ball_points(rng, count, k - 1, d, radius)
         cfg = np.concatenate([np.zeros((count, 1, d)), y], axis=1)
         vals = _mode_values(atlas, params.shape, cfg, np.array([1.0]), mode)[:, 0]
         total += vals.sum()

@@ -14,6 +14,7 @@ from rgglab.atlas import (
     _connected_flags,
     build_atlas,
     canonical_mask,
+    canonical_masks,
     config_mask,
     geometric_graph,
     h_minus,
@@ -221,6 +222,87 @@ def test_connected_flags_match_scalar_reference(k):
     flags = _connected_flags(k)
     assert flags.dtype == bool and flags.shape == (1 << (k * (k - 1) // 2),)
     assert flags.tolist() == [is_connected_mask(m, k) for m in range(flags.size)]
+
+
+def _scalar_canonical(mask: int, k: int) -> int:
+    """min over all k! relabelings of the mask, one bit at a time."""
+    pb = pair_bit_index(k)
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k) if mask >> pb[i, j] & 1]
+    return min(sum(1 << int(pb[perm[i], perm[j]]) for i, j in edges)
+               for perm in itertools.permutations(range(k)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_canonical_masks_match_scalar_reference(k):
+    P = k * (k - 1) // 2
+    if k <= 5:
+        masks = np.arange(1 << P, dtype=np.int64)
+    else:
+        masks = np.random.default_rng(k).integers(0, 1 << P, 60 if k == 6 else 12)
+        masks[:2] = [0, (1 << P) - 1]
+    got = canonical_masks(masks, k)
+    assert got.dtype == np.int64 and got.shape == masks.shape
+    assert got.tolist() == [_scalar_canonical(int(m), k) for m in masks]
+
+
+def _indicators_by_norm_sum(atlas, configs, grid, shape):
+    """The (h, minus) rule written out: np.sqrt of the summed squared
+    differences of every pair at once, int64 masks, one class lookup."""
+    iu = np.triu_indices(atlas.k, 1)
+    diff = configs[:, iu[0]] - configs[:, iu[1]]
+    dists = np.sqrt((diff * diff).sum(axis=2))
+    masks = np.zeros((len(configs), grid.size), dtype=np.int64)
+    for p in range(len(iu[0])):
+        masks += (dists[:, p, None] <= grid).astype(np.int64) << p
+    cls = atlas._class_indices(masks)
+    denser = [i for i, c in enumerate(atlas.classes) if c.edge_count > shape.edge_count]
+    return cls == atlas.shape_index(shape), np.isin(cls, denser)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_indicators_match_norm_sum_rule(d):
+    rng = np.random.default_rng(100 + d)
+    grid = np.array([0.0, 0.6, 0.9, 1.4, 2.5])
+    for k in range(2, 8):
+        atlas = build_atlas(k)
+        # points along a jittered chain, so every class size occurs
+        chain = np.zeros((k, d))
+        chain[:, 0] = 0.8 * np.arange(k)
+        configs = chain + (0.5 / np.sqrt(d)) * rng.normal(size=(300, k, d))
+        # pairs at exactly a grid radius: point 1 at t e_c from point 0
+        ties = np.repeat(chain[None], 2 * d, axis=0)
+        for c in range(d):
+            for r, t in enumerate((grid[2], grid[3])):
+                ties[2 * c + r, 1] = ties[2 * c + r, 0]
+                ties[2 * c + r, 1, c] += t
+        configs = np.concatenate([ties, configs])
+        for name in ("path", "star", "complete"):
+            shape = named_shape(k, name)
+            h, minus = atlas.indicators(configs, grid, shape)
+            h_ref, minus_ref = _indicators_by_norm_sum(atlas, configs, grid, shape)
+            assert np.array_equal(h, h_ref) and np.array_equal(minus, minus_ref), (k, d, name)
+            assert h.dtype == bool and h.flags.c_contiguous
+            if name == "path":    # met and exceeded somewhere
+                assert h.any() and (minus.any() or k == 2), (k, d)
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_indicators_keep_pairwise_norm_from_d8(d):
+    # from 8 terms on numpy's pairwise sum adds in another order than a left
+    # to right loop; pick offsets where the two orders round apart and put
+    # the radius at the pairwise distance
+    x = np.random.default_rng(d).normal(size=(2000, d))
+    pairwise = np.sqrt((x * x).sum(axis=1))
+    in_order = x[:, 0] * x[:, 0]
+    for c in range(1, d):
+        in_order += x[:, c] * x[:, c]
+    apart = np.nonzero(np.sqrt(in_order) > pairwise)[0][:20]
+    assert apart.size == 20
+    edge = named_shape(2, "edge")
+    for row in apart:
+        configs = np.stack([np.zeros(d), x[row]])[None]
+        h, _ = build_atlas(2).indicators(configs, np.array([pairwise[row]]), edge)
+        assert h.tolist() == [[True]]
 
 
 def test_config_mask_boundary_tie():

@@ -27,6 +27,7 @@ from rgglab.limits import (
     mixture_covariance,
     sample_limit_paths,
     self_similarity_report,
+    _accumulate,
     _ball_points,
 )
 from rgglab.atlas import h_minus, h_plus, h_t, named_shape
@@ -267,9 +268,9 @@ def _einsum_reference(p: OracleParams, mode: str, light: bool):
     while remaining > 0:
         count = min(1 << 15, remaining)
         remaining -= count
-        shared = _ball_points(rng, count, n_shared, d, radius, p.antithetic)
-        z1 = _ball_points(rng, count, n_z, d, radius, p.antithetic)
-        z2 = _ball_points(rng, count, n_z, d, radius, p.antithetic)
+        shared = _ball_points(rng, count, n_shared, d, radius)
+        z1 = _ball_points(rng, count, n_z, d, radius)
+        z2 = _ball_points(rng, count, n_z, d, radius)
         zeros = np.zeros((count, 1, d))
         a1 = indicator_values(p.shape, np.concatenate([zeros, shared, z1], axis=1),
                               grid, mode).astype(float)
@@ -312,6 +313,34 @@ def test_oracle_matches_einsum_reference(path3):
         assert got.matrix.any(), (p.ell, mode, light, p.annulus)
         assert np.array_equal(got.matrix, matrix), (p.ell, mode, light, p.annulus)
         assert np.array_equal(got.std_err, std_err), (p.ell, mode, light, p.annulus)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+def test_ball_points_match_plain_formula(d):
+    # directions z / |z| scaled by radius * u^(1/d), from the same draws
+    got = _ball_points(np.random.default_rng(d), 3000, 3, d, 2.5)
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((3000, 3, d))
+    r = 2.5 * rng.random((3000, 3)) ** (1.0 / d)
+    want = z / np.linalg.norm(z, axis=2, keepdims=True) * r[:, :, None]
+    assert np.array_equal(got, want)
+    assert np.linalg.norm(got, axis=2).max() <= 2.5
+    assert _ball_points(np.random.default_rng(d), 10, 0, d, 2.5).shape == (10, 0, d)
+
+
+def test_accumulate_unit_weights_bit_identical(rng):
+    # w=None skips the weight products; with a2 = a1 (the ell = k block) the
+    # products run on one operand twice
+    a1 = (rng.random((5000, 6)) < 0.4).astype(float)
+    a2 = (rng.random((5000, 6)) < 0.6).astype(float)
+    for second in (a2, a1):
+        unit = [np.full((6, 6), 0.1), np.full((6, 6), 0.3)]
+        ones = [np.full((6, 6), 0.1), np.full((6, 6), 0.3)]
+        for _ in range(2):
+            _accumulate(*unit, None, a1, second)
+            _accumulate(*ones, np.ones(len(a1)), a1, second)
+        assert np.array_equal(unit[0], ones[0]) and np.array_equal(unit[1], ones[1])
+        assert unit[0].max() > 100
 
 
 def _poisson_pair_cumulants(n: float) -> tuple[float, float, float]:
