@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .atlas import GraphShape, build_atlas
-from .config import ConfigError, build_density, build_shape, parse_config
+from .config import ConfigError, build_density, build_schedule, build_shape, parse_config
 from .counting import (
     ANNULUS_ABSOLUTE,
     ANNULUS_RADIUS_MULTIPLE,
@@ -38,6 +38,7 @@ from .counting import (
 from .densities import (
     InvalidParameterError,
     RadialDensity,
+    RadiusSchedule,
     ScheduleUndefinedError,
     UnsupportedOperationError,
     core_radius,
@@ -56,11 +57,17 @@ from .harness import (
     write_report,
 )
 from .limits import OracleParams, brownian_identity_check, covariance_L, covariance_M, mixture_covariance
-from .regimes import UnclassifiableError, check_growth_condition, classify_regime, evidence_grid
+from .regimes import (
+    BoundaryRegimeError,
+    UnclassifiableError,
+    check_growth_condition,
+    classify_regime,
+    evidence_grid,
+)
 
 _CONFIG_ERRORS = (ConfigError, InvalidParameterError, ScheduleUndefinedError,
-                  UnsupportedOperationError, UnclassifiableError, ExperimentError,
-                  ValueError)
+                  UnsupportedOperationError, UnclassifiableError, BoundaryRegimeError,
+                  ExperimentError, ValueError)
 
 
 def _env_default(name: str, cast, fallback):
@@ -197,7 +204,7 @@ def _cmd_oracle(args) -> int:
         annulus = (args.K if args.K is not None else 0.0,
                    args.L if args.L is not None else math.inf)
     params = OracleParams(d=args.d, k=args.k, ell=args.ell, shape=shape,
-                          alpha=args.alpha, c=args.c, t_grid=t_grid,
+                          alpha=args.alpha, c=args.c, t_grid=t_grid, annulus=annulus,
                           n_samples=args.samples, seed=args.seed)
     if args.kind == "L":
         cov = covariance_L(params, mode=args.mode)
@@ -227,18 +234,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _schedule_from_args(args):
-    from .densities import (CoreSchedule, LogBandSchedule, PoissonLayerSchedule,
-                            PowerSchedule, WeakCoreSchedule)
-    if args.schedule == "power":
-        return PowerSchedule(c0=args.c0, beta=args.beta)
-    if args.schedule == "weak_core":
-        return WeakCoreSchedule()
-    if args.schedule == "core":
-        return CoreSchedule()
-    if args.schedule == "poisson_layer":
-        return PoissonLayerSchedule(k=args.layer_k)
-    return LogBandSchedule(beta=args.beta)
+def _schedule_from_args(args) -> RadiusSchedule:
+    # --beta always goes in, so log_band keeps the flag's default rather than the config's
+    values = {"kind": args.schedule, "beta": repr(args.beta), "c0": repr(args.c0),
+              "k": str(args.layer_k)}
+    return build_schedule(_config_section("schedule", values))
 
 
 def _cmd_regime(args) -> int:

@@ -136,7 +136,7 @@ class CountRequest:
             raise InvalidRequestError("t_grid must be a nonempty 1-d array")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise InvalidRequestError("t_grid must be strictly ascending")
-        if np.any(grid < 0):
+        if not np.all(grid >= 0):
             raise InvalidRequestError("t_grid must be nonnegative")
         object.__setattr__(self, "t_grid", grid)
         if self.mode not in (MODE_H, MODE_PLUS, MODE_MINUS):
@@ -158,16 +158,6 @@ class CountingCurve:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
-
-
-def max_element(points: np.ndarray) -> tuple[int, float]:
-    """Index and norm of the farthest point; ties go to the smallest index."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("empty configuration")
-    norms = np.linalg.norm(pts, axis=1)
-    idx = int(np.argmax(norms))   # argmax returns the first maximum
-    return idx, float(norms[idx])
 
 
 def _annulus_bounds(req: CountRequest) -> tuple[float, float]:

@@ -515,11 +515,6 @@ def poisson_layer_radius(density: RadialDensity, n: float, k: int) -> float:
     return _solve_increasing(lambda r: -log_eq(r), lo, lo * 1.5, "poisson layer radius")
 
 
-def a_function(density: RadialDensity, r):
-    """Auxiliary scale a(r) = 1/psi'(r); errors on non-von-Mises families."""
-    return density.a_function(r)
-
-
 # ---------------------------------------------------------------------------
 # radius schedules
 # ---------------------------------------------------------------------------

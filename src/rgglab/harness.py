@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
-from . import kernels, stattests
+from . import kernels
 from .atlas import GraphShape, build_atlas
 from .counting import (
     ANNULUS_RADIUS_MULTIPLE,
@@ -38,7 +39,15 @@ from .densities import (
     sample_poisson_cloud,
     unit_ball_volume,
 )
-from .limits import HEAVY, LIGHT, LimitCovariance, OracleParams, indicator_values, mixture_covariance
+from .limits import (
+    HEAVY,
+    LIGHT,
+    LimitCovariance,
+    OracleParams,
+    _ball_points,
+    indicator_values,
+    mixture_covariance,
+)
 from .regimes import (
     BoundaryRegimeError,
     check_growth_condition,
@@ -49,7 +58,7 @@ from .regimes import (
 
 # p-value floor of the Poisson-layer goodness-of-fit flag; the p-values are
 # always persisted so the flag can be re-evaluated after the fact
-KS_P_THRESHOLD = 0.01
+GOF_P_THRESHOLD = 0.01
 BAND_FRACTION = 0.9
 
 
@@ -168,20 +177,6 @@ def _covariance_with_se(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov, se
 
 
-def _normality_stats(values: np.ndarray) -> dict:
-    sd = values.std(ddof=1)
-    if sd == 0:
-        return {"skew": math.nan, "ex_kurtosis": math.nan, "ks_p": math.nan,
-                "degenerate": True}
-    z = (values - values.mean()) / sd
-    return {
-        "skew": float(stattests.skew(values)),
-        "ex_kurtosis": float(stattests.excess_kurtosis(values)),
-        "ks_p": float(stattests.ks_norm_pvalue(z)),
-        "degenerate": False,
-    }
-
-
 # ---------------------------------------------------------------------------
 # CLT experiment
 # ---------------------------------------------------------------------------
@@ -264,7 +259,6 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "band_fraction": band_fraction,
             "ref_ratio": float(ratio[t_idx, t_idx]),
             "ref_ratio_se": float(ratio_se[t_idx, t_idx]),
-            "normality_at_ref": _normality_stats(curves[:, t_idx].astype(float)),
             "decomposition_exact": decomposition_exact,
             "monotone_curves": monotone,
             "standardized_mean_max": float(np.abs(paths.mean(axis=0)).max()),
@@ -323,11 +317,7 @@ def palm_expectation(density: RadialDensity, shape: GraphShape, R: float,
             anchor = density.sample_exterior(rng, count, R)
         else:
             anchor = density.sample(rng, count)
-        z = rng.standard_normal((count, k - 1, density.d))
-        nz = np.linalg.norm(z, axis=2, keepdims=True)
-        nz[nz == 0] = 1.0
-        offs = z / nz * (radius * rng.random((count, k - 1)) ** (1.0 / density.d))[:, :, None]
-        sats = anchor[:, None, :] + offs
+        sats = anchor[:, None, :] + _ball_points(rng, count, k - 1, d, radius)
         cfg = np.concatenate([anchor[:, None, :], sats], axis=1)
         norms = np.linalg.norm(sats, axis=2)
         inside = np.all(norms >= R, axis=1) if R > 0 else np.ones(count, bool)
@@ -410,6 +400,20 @@ def palm_mean_check(cfg: ExperimentConfig, n: float | None = None,
 # Poisson-layer experiment
 # ---------------------------------------------------------------------------
 
+def _poisson_pmf(k, mu) -> np.ndarray:
+    """Poisson(mu) pmf at the integers k >= 0 with ``scipy.stats.poisson.pmf``'s
+    arithmetic, without importing ``scipy.stats`` (mu = 0 gives 1 at 0)."""
+    k = np.asarray(k)
+    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu), 0, 1)
+
+
+def _chi2_sf(x: float, dof: int) -> np.float64:
+    """Chi-square survival function P(X > x) as ``scipy.stats.chi2.sf``; 1 for x <= 0."""
+    if x <= 0:
+        return np.float64(1.0)
+    return special.chdtrc(dof, x)
+
+
 def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
     """Chi-square goodness of fit of integer counts against Poisson(mean)."""
     counts = np.asarray(counts, dtype=int)
@@ -417,7 +421,7 @@ def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
     lam = counts.mean()
     kmax = int(counts.max())
     obs = np.bincount(counts, minlength=kmax + 2).astype(float)
-    exp = stattests.poisson_pmf(np.arange(kmax + 2), lam) * n
+    exp = _poisson_pmf(np.arange(kmax + 2), lam) * n
     exp[-1] = max(n - exp[:-1].sum(), 0.0)   # lump the upper tail
     merged_obs, merged_exp = [], []
     acc_o = acc_e = 0.0
@@ -435,7 +439,7 @@ def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
     if dof < 1:
         return {"chi2": 0.0, "dof": 0, "p_value": 1.0, "bins": len(merged_obs)}
     chi2 = float(sum((o - e) ** 2 / e for o, e in zip(merged_obs, merged_exp)))
-    return {"chi2": chi2, "dof": dof, "p_value": float(stattests.chi2_sf(chi2, dof)),
+    return {"chi2": chi2, "dof": dof, "p_value": float(_chi2_sf(chi2, dof)),
             "bins": len(merged_obs)}
 
 
@@ -467,7 +471,7 @@ def run_poisson_layer_experiment(cfg: ExperimentConfig,
     means = [r["mean"] for r in rungs]
     flags = {
         "top_dispersion_in_band": 0.8 <= rungs[-1]["dispersion"] <= 1.2,
-        "top_gof_p_ok": rungs[-1]["p_value"] >= KS_P_THRESHOLD,
+        "top_gof_p_ok": rungs[-1]["p_value"] >= GOF_P_THRESHOLD,
         "mean_trend_flat": max(means) <= 4 * max(min(means), 1e-9),
     }
     return ExperimentReport(kind="poisson_layer", rungs=rungs, flags=flags,

@@ -20,8 +20,6 @@ from scipy.spatial import cKDTree
 # query slightly beyond the radius so the tree's own rounding cannot drop a
 # pair at exactly ``radius``; the exact keep rule then decides
 _QUERY_SLACK = 1e-9
-# candidates classified per vectorized batch (bounds the (M, P, T) temporaries)
-_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------

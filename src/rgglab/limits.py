@@ -83,10 +83,12 @@ class OracleParams:
 
     def __post_init__(self) -> None:
         _check_ell(self.k, self.ell)
+        if self.d < 1:
+            raise InvalidParameterError("dimension d must be >= 1")
         if self.shape.k != self.k:
             raise InvalidParameterError("shape order must equal k")
         grid = np.asarray(self.t_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or np.any(grid < 0):
+        if grid.ndim != 1 or grid.size == 0 or not np.all(grid >= 0):
             raise InvalidParameterError("t_grid must be a nonempty nonnegative 1-d array")
         object.__setattr__(self, "t_grid", grid)
         if self.n_samples < _MIN_SAMPLES:

@@ -13,9 +13,16 @@ from scipy import stats
 
 import rgglab
 from rgglab.atlas import build_atlas
-from rgglab.cli import parse_and_dispatch
+from rgglab.cli import _schedule_from_args, build_parser, parse_and_dispatch
 from rgglab.config import ConfigError, parse_config
 from rgglab.counting import CloudFormatError, load_cloud, make_cloud, save_cloud
+from rgglab.densities import (
+    CoreSchedule,
+    LogBandSchedule,
+    PoissonLayerSchedule,
+    PowerSchedule,
+    WeakCoreSchedule,
+)
 
 SMALL_CLT = """
 [density]
@@ -313,3 +320,55 @@ def test_density_and_shape_flags_follow_config_rules(capsys):
     code, out, _ = run_cli(capsys, *count, "--edges", "0-1; 1-2;")
     assert code == 0
     assert out == run_cli(capsys, *count, "--shape-name", "path")[1]
+
+
+def test_oracle_annulus_flags_restrict_or_are_refused(capsys):
+    light = ("oracle", "--kind", "M", "--d", "2", "--k", "2", "--ell", "2", "--c", "1",
+             "--t-grid", "1", "--samples", "20000", "--seed", "1")
+    code, full, _ = run_cli(capsys, *light)
+    assert code == 0
+    code, restricted, _ = run_cli(capsys, *light, "--K", "0.5", "--L", "1")
+    assert code == 0
+    assert float(restricted.splitlines()[1].split(",")[2]) < float(full.splitlines()[1].split(",")[2])
+    heavy = ("--d", "2", "--k", "2", "--ell", "2", "--alpha", "4", "--t-grid", "1",
+             "--samples", "20000", "--K", "1.5", "--L", "3")
+    for kind in ("L", "brownian"):
+        code, out, err = run_cli(capsys, "oracle", "--kind", kind, *heavy)
+        assert code == 2 and out == "", kind
+        assert "configuration error: annulus restriction" in err
+
+
+def test_bad_input_is_a_typed_error_exit_2(capsys):
+    oracle = ("oracle", "--kind", "L", "--k", "2", "--ell", "2", "--alpha", "4",
+              "--samples", "20000")
+    for argv, message in (
+        (("regime", "--family", "vonmises", "--d", "2", "--tau", "2", "--schedule",
+          "weak_core", "--n-range", "1e2,1e6"), "superexponential tail"),
+        ((*oracle, "--d", "0", "--t-grid", "1"), "dimension d must be >= 1"),
+        ((*oracle, "--d", "2", "--t-grid", "nan"), "t_grid must be a nonempty nonnegative"),
+        (("count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
+          "--k", "2", "--t-grid", "nan"), "t_grid must be nonnegative"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"configuration error: {message}" in err, argv
+
+
+def test_schedule_flags_follow_config_builder():
+    regime = ("regime", "--family", "power", "--d", "2", "--alpha", "4",
+              "--n-range", "1e2,1e6", "--schedule")
+    expected = {
+        "power": PowerSchedule(c0=2.0, beta=0.25), "weak_core": WeakCoreSchedule(),
+        "core": CoreSchedule(), "poisson_layer": PoissonLayerSchedule(k=3),
+        "log_band": LogBandSchedule(beta=0.25),
+    }
+    for kind, schedule in expected.items():
+        args = build_parser().parse_args(
+            [*regime, kind, "--beta", "0.25", "--c0", "2", "--layer-k", "3"])
+        text = SMALL_CLT.replace("kind = power\nbeta = 0.3",
+                                 f"kind = {kind}\nbeta = 0.25\nc0 = 2\nk = 3")
+        got = _schedule_from_args(args)
+        assert got == parse_config(text=text).experiment.schedule == schedule, kind
+    # without --beta, log_band keeps the flag's default 0.3, not the config's 0.45
+    args = build_parser().parse_args([*regime, "log_band"])
+    assert _schedule_from_args(args) == LogBandSchedule(beta=0.3)

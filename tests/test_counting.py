@@ -26,7 +26,6 @@ from rgglab.counting import (
     count_subgraphs_exhaustive,
     load_cloud,
     make_cloud,
-    max_element,
     save_cloud,
 )
 
@@ -34,15 +33,6 @@ from rgglab.counting import (
 def random_cloud(rng, n, d, spread=3.0):
     pts = rng.normal(size=(n, d)) * spread + rng.normal(size=d) * 2
     return make_cloud(pts, n=n, seed=0)
-
-
-def test_max_element_examples():
-    assert max_element(np.array([[1.0, 0.0], [2.0, 0.0]])) == (1, 2.0)
-    idx, norm = max_element(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    assert idx == 0 and norm == 2.0        # tie -> smallest subscript
-    assert max_element(np.array([[3.0, 4.0]])) == (0, 5.0)
-    with pytest.raises(ValueError):
-        max_element(np.empty((0, 2)))
 
 
 def test_count_examples(k2):

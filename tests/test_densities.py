@@ -18,7 +18,6 @@ from rgglab.densities import (
     UnsupportedOperationError,
     VonMisesDensity,
     WeakCoreSchedule,
-    a_function,
     core_radius,
     poisson_layer_radius,
     sample_poisson_cloud,
@@ -204,13 +203,13 @@ def test_radii_ordering(power24):
 
 def test_a_function(vm21, power24):
     vm_half = VonMisesDensity(2, 0.5)
-    assert float(a_function(vm21, 7.0)) == 1.0
-    assert float(a_function(vm_half, 4.0)) == pytest.approx(2.0)
+    assert float(vm21.a_function(7.0)) == 1.0
+    assert float(vm_half.a_function(4.0)) == pytest.approx(2.0)
     r = np.geomspace(1, 1e6, 20)
     ratio = vm_half.a_function(r) / r
     assert np.all(np.diff(ratio) < 0) and ratio[-1] < 1e-2
     with pytest.raises(UnsupportedOperationError):
-        a_function(power24, 2.0)
+        power24.a_function(2.0)
 
 
 def test_c_limit():

@@ -21,6 +21,8 @@ from rgglab.densities import (
 from rgglab.harness import (
     ExperimentConfig,
     ExperimentError,
+    _chi2_sf,
+    _poisson_pmf,
     cubes_inside_ball,
     palm_expectation,
     palm_mean_check,
@@ -146,6 +148,20 @@ def test_poisson_gof_calibration():
     assert poisson_gof(true_pois)["p_value"] > 0.001
     overdispersed = rng.poisson(3.0, size=2000) + 3 * rng.poisson(0.35, size=2000)
     assert poisson_gof(overdispersed)["p_value"] < 1e-4
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 0.37, 1.0, 4.85, 19.0, 120.5])
+def test_poisson_pmf_matches_scipy(mu):
+    k = np.arange(0, 200)
+    mu = np.float64(mu)
+    assert np.array_equal(_poisson_pmf(k, mu), stats.poisson.pmf(k, mu))
+
+
+def test_chi2_sf_matches_scipy():
+    for dof in (1, 2, 3, 6, 25):
+        for x in (0.0, 1e-6, 0.4, 1.0, 2.7, 11.3, 60.0, 900.0):
+            assert np.array_equal(_chi2_sf(x, dof), stats.chi2.sf(x, dof),
+                                  equal_nan=True), (dof, x)
 
 
 def test_poisson_layer_experiment(power24, k2):
