@@ -44,8 +44,10 @@ _TABLE_SIZE = 4096
 _TABLE_TAIL = 1e-12          # tabulate the inverse CDF out to this tail mass
 _RESIDUAL_W = 1e-18          # truncate ratio integrands below this weight
 _TAIL_CACHE_SIZE = 256       # memoized tail integrals kept per density
-_BUCKETS = 1 << 16           # inverse-CDF interval lookup buckets over [0, max_cdf]
-_EVAL_CHUNK = 4096           # inverse-CDF values evaluated per cache-sized chunk
+# inverse-CDF interval lookup buckets over [0, max_cdf], 16 bytes each; more
+# were no faster, and every cached exterior table holds its own
+_BUCKETS = 1 << 14
+_CHUNK = 4096                # rows per cache-sized pass over a full cloud
 
 
 @dataclass
@@ -54,10 +56,13 @@ class _InverseCdf:
 
     scipy's ``PchipInterpolator`` builds the cubic coefficients; calls
     evaluate them here with the same arithmetic as scipy's
-    ``PPoly(extrapolate=False)`` on ``min(u, max_cdf)``, bit for bit.  A
-    bucket table over [0, max_cdf] finds each u's interval without a full
-    binary search.  Every table is built in ``__post_init__`` and never
-    written afterwards: exterior tables are shared by worker threads.
+    ``PPoly(extrapolate=False)`` on ``min(u, max_cdf)``, bit for bit, one
+    cache-sized chunk at a time.  Two packed tables serve a chunk with one
+    row gather each: a bucket table over [0, max_cdf] finds each u's
+    interval without a full binary search, and an interval table holds the
+    interval's left end and its cubic.  Both are built in ``__post_init__``
+    and never written afterwards: exterior tables are shared by worker
+    threads.
     """
 
     r: np.ndarray
@@ -70,54 +75,60 @@ class _InverseCdf:
             raise ValueError("CDF values must be nonnegative")
         c = interpolate.PchipInterpolator(cdf, self.r[idx], extrapolate=False).c
         self.max_cdf = float(cdf[-1])
-        self._x = np.append(cdf, np.inf)            # breakpoints, then a sentinel
+        self._x = cdf
         # scipy evaluates (0 + c3) + c2*s + c1*(s*s) + c0*((s*s)*s) on the
         # interval x[i] <= u < x[i+1], and on the last one at u = x[-1].  The
-        # tables are indexed by k = #{breakpoints <= u} = i + 1, so they are
-        # shifted by one, and k = len(x) repeats the last interval
-        def by_count(a):
-            return np.concatenate([[np.nan], a, a[-1:]])
-
-        self._left = by_count(cdf[:-1])
-        self._c3 = 0.0 + by_count(c[3])
-        self._c2, self._c1, self._c0 = (by_count(row) for row in c[2::-1])
+        # rows (left, c3, c2, c1, c0) are indexed by k = #{breakpoints <= u}
+        # = i + 1, so they are shifted by one, and k = len(x) repeats the last
+        # interval
+        rows = np.column_stack([cdf[:-1], 0.0 + c[3], c[2], c[1], c[0]])
+        self._cubic = np.concatenate([np.full((1, 5), np.nan), rows, rows[-1:]])
         # a breakpoint's bucket uses the expression queries use; as
         # floor(v * scale) is monotone in v, the breakpoints of buckets before
-        # v's are below v and those of buckets after it above v
+        # v's are below v and those of buckets after it above v.  So k is the
+        # count of earlier buckets' breakpoints, plus one if v reaches the
+        # bucket's own breakpoint: inf if it has none, NaN if it has several,
+        # which a binary search then settles
         self._scale = _BUCKETS / self.max_cdf      # max_cdf > 0: PCHIP needs two points
         bucket = (cdf * self._scale).astype(np.intp)
         # breakpoints in earlier buckets: j for the buckets in (bucket[j-1], bucket[j]]
-        self._before = np.repeat(np.arange(cdf.size + 1, dtype=np.int32),
-                                 np.diff(bucket, prepend=-1, append=_BUCKETS))
+        before = np.repeat(np.arange(cdf.size + 1), np.diff(bucket, prepend=-1, append=_BUCKETS))
+        held = np.diff(before, append=cdf.size)
+        self._buckets = np.empty(_BUCKETS + 1, dtype=[("before", np.int64), ("split", np.float64)])
+        self._buckets["before"] = before
+        self._buckets["split"] = np.where(held == 0, np.inf, np.nan)
+        self._buckets["split"][held == 1] = cdf[before[held == 1]]
+
+    def eval_chunk(self, u: np.ndarray) -> np.ndarray:
+        """The inverse CDF at a 1-d chunk of u, about ``_CHUNK`` long, as a new array."""
+        v = np.minimum(u, self.max_cdf)
+        valid = v >= self._x[0]                                # False for NaN
+        all_valid = valid.all()
+        if not all_valid:
+            v[~valid] = self._x[0]
+        look = self._buckets.take((v * self._scale).astype(np.intp))   # floor, as v >= 0
+        split = look["split"]
+        k = look["before"] + (v >= split)
+        crowded = np.isnan(split)
+        if crowded.any():
+            k[crowded] = np.searchsorted(self._x, v[crowded], side="right")
+        row = self._cubic.take(k, axis=0)
+        s = v - row[:, 0]
+        s2 = s * s
+        res = row[:, 1] + row[:, 2] * s
+        res += row[:, 3] * s2
+        s2 *= s
+        res += row[:, 4] * s2
+        if not all_valid:
+            res[~valid] = np.nan
+        return res
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        v = np.minimum(u.ravel(), self.max_cdf)
-        invalid = ~(v >= self._x[0])                           # True for NaN
-        any_invalid = invalid.any()
-        if any_invalid:
-            v[invalid] = self._x[0]
-        bucket = (v * self._scale).astype(np.intp)            # floor, as v >= 0
-        # k = #{breakpoints <= v}: those of earlier buckets, plus the next
-        # breakpoint if it is <= v; it is exact unless the one after, then in
-        # the same bucket, is <= v too, which a binary search settles
-        k = self._before[bucket]
-        k += v >= self._x[k]
-        crowded = v >= self._x[k]
-        if crowded.any():
-            k[crowded] = np.searchsorted(self._x, v[crowded], side="right")
-        out = np.empty_like(v)
-        for lo in range(0, v.size, _EVAL_CHUNK):
-            j = k[lo:lo + _EVAL_CHUNK]
-            s = v[lo:lo + _EVAL_CHUNK] - self._left[j]
-            s2 = s * s
-            res = self._c3[j] + self._c2[j] * s
-            res += self._c1[j] * s2
-            s2 *= s
-            res += self._c0[j] * s2
-            out[lo:lo + _EVAL_CHUNK] = res
-        if any_invalid:
-            out[invalid] = np.nan
+        flat = u.ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, _CHUNK):
+            out[lo:lo + _CHUNK] = self.eval_chunk(flat[lo:lo + _CHUNK])
         return out.reshape(u.shape)
 
 
@@ -133,6 +144,19 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     for j in range(1, z.shape[1]):
         sq += z[:, j] * z[:, j]
     return np.sqrt(sq, out=sq)
+
+
+def _scale_directions(z: np.ndarray, r: np.ndarray) -> None:
+    """Set each row of the (N, d) z, in place, to ``z / np.linalg.norm(z) * r``.
+
+    Bit for bit, with a zero row left zero.  It runs column by column, since
+    an (N, 1) broadcast runs an inner loop of length d.
+    """
+    norms = _row_norms(z)
+    norms[norms == 0] = 1.0
+    for c in range(z.shape[1]):
+        z[:, c] /= norms
+        z[:, c] *= r
 
 
 class RadialDensity:
@@ -252,24 +276,27 @@ class RadialDensity:
             self._full_inverse = _InverseCdf(r=grid, cdf=np.clip(cdf, 0.0, 1.0))
         return self._full_inverse
 
-    def _directions(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _points(self, rng: np.random.Generator, size: int, radius) -> np.ndarray:
+        """size points with radius ``radius(u)`` of a uniform u and a uniform
+        direction, in one pass per cache-sized chunk after both draws."""
+        u = rng.random(size)
         z = rng.standard_normal((size, self.d))
-        norms = _row_norms(z)[:, None]
-        norms[norms == 0] = 1.0
-        z /= norms
+        for lo in range(0, size, _CHUNK):
+            _scale_directions(z[lo:lo + _CHUNK], radius(u[lo:lo + _CHUNK]))
         return z
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """iid points from f: tabulated inverse-CDF radius, uniform direction."""
         inv = self._radial_inverse()
-        u = rng.random(size)
-        r = np.asarray(inv(u), dtype=float)
-        beyond = u > inv.max_cdf
-        if beyond.any():
-            r[beyond] = self._tail_inverse_asymptotic(1.0 - u[beyond])
-        dirs = self._directions(rng, size)
-        dirs *= r[:, None]
-        return dirs
+
+        def radius(u):
+            r = inv.eval_chunk(u)
+            beyond = u > inv.max_cdf
+            if beyond.any():
+                r[beyond] = self._tail_inverse_asymptotic(1.0 - u[beyond])
+            return r
+
+        return self._points(rng, size, radius)
 
     def _exterior_inverse(self, R: float) -> tuple[_InverseCdf, float]:
         cached = self._exterior_cache.get(R)
@@ -299,11 +326,7 @@ class RadialDensity:
         if R <= 0:
             return self.sample(rng, size)
         inv, _ = self._exterior_inverse(R)
-        u = rng.random(size)
-        r = R + np.asarray(inv(u), dtype=float)
-        dirs = self._directions(rng, size)
-        dirs *= r[:, None]
-        return dirs
+        return self._points(rng, size, lambda u: R + inv.eval_chunk(u))
 
     # -- family-specific hooks ------------------------------------------------
     def a_function(self, r):

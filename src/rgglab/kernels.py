@@ -17,6 +17,8 @@ import itertools
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .densities import _CHUNK
+
 # query slightly beyond the radius so the tree's own rounding cannot drop a
 # pair at exactly ``radius``; the exact keep rule then decides
 _QUERY_SLACK = 1e-9
@@ -101,20 +103,24 @@ def occupied_cells(points: np.ndarray, g: float, base: np.ndarray, dims: np.ndar
     """Boolean occupancy over the integer box [base, base+dims) of grid-g cells.
 
     Cell ``floor(p / g) - base`` of each point is read as one C-order flat
-    index, built axis by axis; a coordinate is inside iff, viewed unsigned,
-    it is below its dimension (negatives wrap to huge values).
+    index, built axis by axis over one cache-sized chunk of rows at a time; a
+    coordinate is inside iff, viewed unsigned, it is below its dimension
+    (negatives wrap to huge values).
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    for j, (lo, size) in enumerate(zip(np.asarray(base).tolist(), np.asarray(dims).tolist())):
-        rel = np.floor(points[:, j] / g).astype(np.int64)
-        rel -= lo
-        ok = rel.view(np.uint64) < size
-        if j == 0:
-            flat, inside = rel, ok
-        else:
-            flat *= size
-            flat += rel
-            inside &= ok
+    bounds = list(zip(np.asarray(base).tolist(), np.asarray(dims).tolist()))
     occ = np.zeros(int(np.prod(dims)), dtype=bool)
-    occ[flat[inside]] = True
+    for lo in range(0, points.shape[0], _CHUNK):
+        chunk = points[lo:lo + _CHUNK]
+        for j, (low, size) in enumerate(bounds):
+            rel = np.floor(chunk[:, j] / g).astype(np.int64)
+            rel -= low
+            ok = rel.view(np.uint64) < size
+            if j == 0:
+                flat, inside = rel, ok
+            else:
+                flat *= size
+                flat += rel
+                inside &= ok
+        occ[flat[inside]] = True
     return occ

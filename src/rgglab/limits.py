@@ -31,7 +31,7 @@ from .densities import (
     InvalidParameterError,
     RadialDensity,
     UnsupportedOperationError,
-    _row_norms,
+    _scale_directions,
     sphere_surface_area,
     unit_ball_volume,
 )
@@ -135,15 +135,10 @@ def _ball_points(rng, count: int, m: int, d: int, radius: float):
     if m == 0:
         return np.empty((count, 0, d))
     z = rng.standard_normal((count, m, d))
-    flat = z.reshape(count * m, d)
-    nz = _row_norms(flat)
-    nz[nz == 0] = 1.0
     r = rng.random(count * m)
     r **= 1.0 / d
     r *= radius
-    for c in range(d):    # column by column: a length-d inner loop is slow
-        flat[:, c] /= nz
-        flat[:, c] *= r
+    _scale_directions(z.reshape(count * m, d), r)
     return z
 
 

@@ -7,7 +7,6 @@ benchmark pins every parameter, those parameters appear verbatim below.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from rgglab.counting import (
     AnnulusSpec,
     ANNULUS_ABSOLUTE,
     CountRequest,
-    count_decomposed,
     count_subgraphs,
     count_subgraphs_exhaustive,
     make_cloud,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, interpolate, stats
 
-from rgglab.counting import CountRequest, count_subgraphs, make_cloud
+from rgglab.counting import CountRequest, count_subgraphs
 from rgglab.densities import (
     InvalidParameterError,
     LogBandSchedule,
@@ -336,14 +336,15 @@ def test_inverse_cdf_crowded_buckets():
         np.sort(rng.uniform(0.6, 1.0, 300)),
     ])
     inv = _InverseCdf(r=np.cumsum(rng.uniform(0.1, 1.0, cdf.size)), cdf=cdf)
-    assert (np.diff(inv._before) > 1).sum() >= 2          # buckets holding several breakpoints
+    bucket = (np.unique(cdf) * (_BUCKETS / cdf.max())).astype(np.intp)   # the table's buckets
+    assert (np.bincount(bucket) > 1).sum() >= 2          # buckets holding several breakpoints
     u = np.concatenate([_probe_points(inv, rng),
                         rng.uniform(0.0, width, 2000), 0.5 + rng.uniform(0.0, width, 2000)])
     assert np.array_equal(inv(u), _pchip_reference(inv, u), equal_nan=True)
     # a call leaves the table as it was: worker threads share exterior tables
-    before = {k: np.copy(v) for k, v in vars(inv).items() if isinstance(v, np.ndarray)}
+    before = {k: v.tobytes() for k, v in vars(inv).items() if isinstance(v, np.ndarray)}
     inv(u)
-    assert all(np.array_equal(v, vars(inv)[k], equal_nan=True) for k, v in before.items())
+    assert all(vars(inv)[k].tobytes() == v for k, v in before.items())
 
 
 def _reference_directions(rng, n, d):
@@ -355,26 +356,83 @@ def _reference_directions(rng, n, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
 def test_directions_match_linalg_norm(d):
-    """Directions keep the bits of dividing by np.linalg.norm, on both sides
-    of the column count where numpy's summation changes order."""
-    got = PowerLawDensity(d, d + 2.0)._directions(np.random.default_rng(3), 5000)
-    assert np.array_equal(got, _reference_directions(np.random.default_rng(3), 5000, d))
+    """Scaled directions keep the bits of dividing by np.linalg.norm, on both
+    sides of the column count where numpy's summation changes order, and a
+    zero row stays zero."""
+    from rgglab.densities import _scale_directions
+
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((5000, d))
+    z[17] = 0.0
+    r = rng.uniform(0.5, 9.0, 5000)
+    expected = _reference_directions(np.random.default_rng(3), 5000, d)
+    expected[17] = 0.0
+    _scale_directions(z, r)
+    assert np.array_equal(z, expected * r[:, None])
+
+
+class _ChosenUniforms:
+    """A Generator stand-in whose ``random`` returns chosen u and whose
+    ``standard_normal`` draws from a real generator."""
+
+    def __init__(self, u, seed):
+        self._u = np.asarray(u, dtype=float)
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        assert size == self._u.size
+        return self._u.copy()
+
+    def standard_normal(self, shape):
+        return self._rng.standard_normal(shape)
+
+
+def _expected_sample(density, inv, shift, u, normals, tail):
+    """The sample as the reference formulas build it from the same draws."""
+    r = shift + np.asarray(_pchip_reference(inv, u), dtype=float)
+    beyond = u > inv.max_cdf
+    if tail and beyond.any():
+        r[beyond] = density._tail_inverse_asymptotic(1.0 - u[beyond])
+    return r[:, None] * _reference_directions(normals, u.size, density.d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sample_matches_reference(d):
-    """Full and exterior samples keep the bits of scipy's PCHIP and np.linalg.norm."""
-    density = PowerLawDensity(d, d + 2.0)
-    n = 5000
+    """Full and exterior samples keep the bits of scipy's PCHIP and
+    np.linalg.norm across chunk boundaries, take the asymptotic tail past the
+    table's last quantile (full samples only), and turn NaN or negative u
+    into NaN points."""
+    from rgglab.densities import _CHUNK
+
     R = 2.5
-    inv_full, inv_ext = density._radial_inverse(), density._exterior_inverse(R)[0]
-    for draw, inv, shift in ((lambda g: density.sample(g, n), inv_full, 0.0),
-                             (lambda g: density.sample_exterior(g, n, R), inv_ext, R)):
-        ref_rng = np.random.default_rng(8)
-        u = ref_rng.random(n)
-        r = shift + np.asarray(_pchip_reference(inv, u), dtype=float)
-        expected = r[:, None] * _reference_directions(ref_rng, n, d)
-        assert np.array_equal(draw(np.random.default_rng(8)), expected)
+    sizes = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5000, 3 * _CHUNK + 17)
+    for density in (PowerLawDensity(d, d + 2.0), VonMisesDensity(d, 0.5)):
+        inv_full, inv_ext = density._radial_inverse(), density._exterior_inverse(R)[0]
+        cases = ((lambda g, n: density.sample(g, n), inv_full, 0.0, True),
+                 (lambda g, n: density.sample_exterior(g, n, R), inv_ext, R, False))
+        for draw, inv, shift, tail in cases:
+            for n in sizes:
+                ref_rng = np.random.default_rng(8)
+                u = ref_rng.random(n)
+                expected = _expected_sample(density, inv, shift, u, ref_rng, tail)
+                got = draw(np.random.default_rng(8), n)
+                assert np.array_equal(got, expected), (density.family, shift, n)
+            # random u passes max_cdf with probability ~1e-12 per draw, so the
+            # tail branch and invalid u come from chosen values
+            n = 3 * _CHUNK + 17
+            u = np.random.default_rng(9).random(n)
+            top = inv.max_cdf
+            chosen = [np.nextafter(top, 1.0), (top + 1.0) / 2, np.nextafter(1.0, 0.0), top,
+                      np.nan, -0.25, -np.inf, 0.0, np.nextafter(top, 1.0)]
+            at = [0, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 3, 3 * _CHUNK - 1,
+                  3 * _CHUNK, n - 1]
+            u[at] = chosen
+            got = draw(_ChosenUniforms(u, seed=10), n)
+            expected = _expected_sample(density, inv, shift, u, np.random.default_rng(10), tail)
+            assert np.array_equal(got, expected, equal_nan=True), (density.family, shift)
+            assert np.isnan(got[at[4:7]]).all() and not np.isnan(np.delete(got, at[4:7], 0)).any()
+            if tail and density.family == "power":     # its full table ends short of 1
+                assert (u > top).sum() == 4
 
 
 def test_point_cloud_norms_lazy(power24):

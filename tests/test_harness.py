@@ -2,20 +2,17 @@
 statistical helpers."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.spatial import cKDTree
 
-from rgglab.counting import CountRequest, count_subgraphs, make_cloud
+from rgglab.counting import CountRequest, count_subgraphs
 from rgglab.densities import (
     CoreSchedule,
     PoissonLayerSchedule,
     PowerSchedule,
-    TableSchedule,
-    WeakCoreSchedule,
     sample_poisson_cloud,
 )
 from rgglab.harness import (
