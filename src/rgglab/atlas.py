@@ -4,8 +4,11 @@ A k-point configuration induces a geometric graph (edges between points at
 Euclidean distance <= t).  Graphs on k labeled vertices are encoded as edge
 bitmasks; isomorphism classes are identified by the canonical form
 min over all k! vertex permutations of the permuted bitmask.  The atlas
-enumerates every connected isomorphism class on k vertices and provides
-lookup tables so that classifying a bitmask is an array read.
+enumerates every connected isomorphism class on k vertices by augmentation
+from order k - 1, then fills one (2^P,) lookup table by orbit: each class's
+index is written at all k! relabelings of its canonical mask, and every
+disconnected mask reads -1.  Classifying a bitmask is an array read for
+every k.
 ``Atlas.indicators`` classifies batches of k-point configurations over a
 radius grid; the counting engine, the limit oracle and the Palm check all
 read it, and the scalar ``h_t`` family below is the reference it is tested
@@ -24,10 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 7          # largest supported vertex count
-FULL_TABLE_MAX = 6     # largest k with full per-mask lookup tables
 # configurations classified per vectorized batch (bounds the (m, T) temporaries)
 _INDICATOR_CHUNK = 1 << 14
-# entries of one float64 (masks, k!) product in ``canonical_masks``
+# entries of one float64 (masks, k!) product in ``_relabelings``
 _CANON_PRODUCT_ENTRIES = 1 << 19
 
 
@@ -66,49 +68,33 @@ def _perm_powers(k: int) -> np.ndarray:
     return out
 
 
-def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
-    """Canonical form (min permuted bitmask) for a 1-d array of masks.
+def _relabelings(masks: np.ndarray, k: int):
+    """Yield (lo, (chunk, k!) float64) pairs: row r holds every relabeling
+    of ``masks[lo + r]``.
 
-    Each permuted mask is one entry of the float64 product of the bit matrix
-    with ``_perm_powers``: a sum of distinct powers of two below 2**21, so
-    exact.  Chunks keep the (chunk, k!) product near 4 MB.
+    Each relabeled mask is one entry of the float64 product of the bit
+    matrix with ``_perm_powers``: a sum of distinct powers of two below
+    2**21, so exact.  Chunks keep the product near 4 MB.
     """
-    masks = np.asarray(masks, dtype=np.int64)
     powers = _perm_powers(k)
     shifts = np.arange(powers.shape[0])
     chunk = max(1, _CANON_PRODUCT_ENTRIES // powers.shape[1])
-    best = np.empty(masks.shape, dtype=np.int64)
     for lo in range(0, masks.size, chunk):
         bits = ((masks[lo:lo + chunk, None] >> shifts) & 1).astype(np.float64)
-        best[lo:lo + chunk] = (bits @ powers).min(axis=1)
+        yield lo, bits @ powers
+
+
+def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
+    """Canonical form (min relabeled bitmask) for a 1-d array of masks."""
+    masks = np.asarray(masks, dtype=np.int64)
+    best = np.empty(masks.shape, dtype=np.int64)
+    for lo, relabeled in _relabelings(masks, k):
+        best[lo:lo + len(relabeled)] = relabeled.min(axis=1)
     return best
 
 
 def canonical_mask(mask: int, k: int) -> int:
     return int(canonical_masks(np.array([mask]), k)[0])
-
-
-def is_connected_mask(mask: int, k: int) -> bool:
-    """True iff the k-vertex graph encoded by ``mask`` is connected."""
-    pb = pair_bit_index(k)
-    nbr = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mask >> pb[i, j] & 1:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        v = frontier
-        while v:
-            low = v & -v
-            nxt |= nbr[low.bit_length() - 1]
-            v ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << k) - 1
 
 
 def _edges_of_mask(mask: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -150,16 +136,14 @@ class GraphShape:
         return f"GraphShape(k={self.k}, j={self.edge_count}, canon={self.canonical_form})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Atlas:
-    """All connected isomorphism classes on k vertices, with lookup tables."""
+    """All connected isomorphism classes on k vertices, with a lookup table."""
 
     k: int
     classes: tuple[GraphShape, ...]
-    by_edge_count: dict[int, tuple[GraphShape, ...]] = field(repr=False)
     _canon_to_index: dict[int, int] = field(repr=False)
-    _class_table: np.ndarray | None = field(repr=False, default=None)
-    _lazy_cache: dict[int, int] = field(repr=False, default_factory=dict)
+    _class_table: np.ndarray = field(repr=False)
 
     # -- classification ----------------------------------------------------
     def class_index_of_mask(self, mask: int) -> int:
@@ -175,21 +159,7 @@ class Atlas:
 
     def _class_indices(self, masks: np.ndarray) -> np.ndarray:
         """Elementwise ``class_index_of_mask`` over an integer mask array."""
-        if self._class_table is not None:
-            return np.take(self._class_table, masks)
-        # no full table: canonicalize the masks not met before in one batch.
-        # Threads share the memo; entries are only added and depend on the
-        # mask alone, so a race at worst computes one twice.
-        uniq, inv = np.unique(masks, return_inverse=True)
-        uniq = uniq.tolist()
-        new = [m for m in uniq if m not in self._lazy_cache]
-        if new:
-            canon = canonical_masks(np.array(new, dtype=np.int64), self.k).tolist()
-            for m, c in zip(new, canon):
-                connected = is_connected_mask(m, self.k)
-                self._lazy_cache[m] = self._canon_to_index[c] if connected else -1
-        idx = np.array([self._lazy_cache[m] for m in uniq], dtype=np.int16)
-        return idx[inv].reshape(masks.shape)
+        return np.take(self._class_table, masks)
 
     def indicators(self, configs: np.ndarray, t_grid: np.ndarray,
                    shape: GraphShape) -> tuple[np.ndarray, np.ndarray]:
@@ -251,55 +221,33 @@ class Atlas:
         return "\n".join(lines) + "\n"
 
 
-def _connected_flags(k: int) -> np.ndarray:
-    """(2^P,) bool: ``is_connected_mask`` of every mask at once.  The set
-    reached from vertex 0 grows by its neighbours in k - 1 rounds, enough
-    for any path on k vertices."""
-    pb = pair_bit_index(k)
-    masks = np.arange(1 << pair_count(k), dtype=np.int64)
-    nbr = np.zeros((k, masks.size), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            bit = (masks >> pb[i, j]) & 1
-            nbr[i] |= bit << j
-            nbr[j] |= bit << i
-    reached = np.ones(masks.size, dtype=np.int64)
-    for _ in range(k - 1):
-        for i in range(k):
-            reached |= ((reached >> i) & 1) * nbr[i]
-    return reached == (1 << k) - 1
-
-
-def _build_full(k: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Scan every mask: the classes' canonical masks, the (2^P,) connected
-    flags, and the canonical form of each connected mask in mask order."""
-    connected = _connected_flags(k)
-    canon = canonical_masks(np.nonzero(connected)[0].astype(np.int64), k)
-    return sorted(set(canon.tolist())), connected, canon
-
-
-def _build_by_augmentation(k: int) -> list[int]:
-    """Canonical masks for order k from the atlas one order below.
+def _class_masks(k: int) -> set[int]:
+    """Canonical masks of the connected classes on k vertices.
 
     Every connected graph on k vertices has a non-cut vertex; removing it
     leaves a connected graph on k-1 vertices, so attaching a new vertex to
-    every nonempty subset of every (k-1)-class reaches every k-class.
+    every nonempty subset of every (k-1)-class reaches every k-class.  The
+    one class on 2 vertices is the edge, mask 1.
     """
-    prev = build_atlas(k - 1)
+    if k == 2:
+        return {1}
     pb = pair_bit_index(k)
-    candidates = []
-    for shape in prev.classes:
-        base = 0
-        for i, j in shape.edges:
-            base |= 1 << pb[i, j]
-        for subset in range(1, 1 << (k - 1)):
-            m = base
-            for i in range(k - 1):
-                if subset >> i & 1:
-                    m |= 1 << pb[i, k - 1]
-            candidates.append(m)
-    canon = canonical_masks(np.array(candidates, dtype=np.int64), k)
-    return sorted(set(int(c) for c in canon))
+    subsets = np.arange(1, 1 << (k - 1), dtype=np.int64)
+    attach = sum(((subsets >> i) & 1) << pb[i, k - 1] for i in range(k - 1))
+    bases = np.array([sum(1 << int(pb[i, j]) for i, j in shape.edges)
+                      for shape in build_atlas(k - 1).classes], dtype=np.int64)
+    canon = canonical_masks((bases[:, None] | attach).ravel(), k)
+    return set(canon.tolist())
+
+
+def _orbit_table(canon: np.ndarray, k: int) -> np.ndarray:
+    """(2^P,) int16: i at every relabeling of ``canon[i]``, -1 elsewhere."""
+    table = np.full(1 << pair_count(k), -1, dtype=np.int16)
+    for lo, relabeled in _relabelings(canon, k):
+        index = np.arange(lo, lo + len(relabeled), dtype=np.int16)
+        table[relabeled.astype(np.int64)] = index[:, None]
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -308,39 +256,16 @@ def build_atlas(k: int) -> Atlas:
     if not isinstance(k, (int, np.integer)) or not 2 <= k <= MAX_ORDER:
         raise UnsupportedOrderError(f"vertex count must be an integer in 2..{MAX_ORDER}, got {k!r}")
     k = int(k)
-    if k <= FULL_TABLE_MAX:
-        canon_list, connected, canon_connected = _build_full(k)
-    else:
-        canon_list = _build_by_augmentation(k)
-
     classes = []
-    for canon in canon_list:
+    for canon in _class_masks(k):
         edges = _edges_of_mask(canon, k)
         classes.append(GraphShape(k=k, edges=edges, edge_count=len(edges), canonical_form=canon))
     classes.sort(key=lambda s: (s.edge_count, s.canonical_form))
-    canon_to_index = {s.canonical_form: i for i, s in enumerate(classes)}
-
-    by_edge_count: dict[int, tuple[GraphShape, ...]] = {}
-    for ell in range(k - 1, pair_count(k) + 1):
-        group = tuple(s for s in classes if s.edge_count == ell)
-        if group:
-            by_edge_count[ell] = group
-
-    class_table = None
-    if k <= FULL_TABLE_MAX:
-        class_table = np.full(connected.size, -1, dtype=np.int16)
-        lut = np.full(canon_list[-1] + 1, -1, dtype=np.int16)
-        for canon, idx in canon_to_index.items():
-            lut[canon] = idx
-        class_table[connected] = lut[canon_connected]
-        class_table.flags.writeable = False
-
     return Atlas(
         k=k,
         classes=tuple(classes),
-        by_edge_count=by_edge_count,
-        _canon_to_index=canon_to_index,
-        _class_table=class_table,
+        _canon_to_index={s.canonical_form: i for i, s in enumerate(classes)},
+        _class_table=_orbit_table(np.array([s.canonical_form for s in classes]), k),
     )
 
 

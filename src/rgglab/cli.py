@@ -63,6 +63,7 @@ from .regimes import (
     check_growth_condition,
     classify_regime,
     evidence_grid,
+    log_tau,
 )
 
 _CONFIG_ERRORS = (ConfigError, InvalidParameterError, ScheduleUndefinedError,
@@ -180,7 +181,7 @@ def _cmd_count(args) -> int:
         K, L = (float(x) for x in args.annulus.split(","))
         scaling = {"multiple": ANNULUS_RADIUS_MULTIPLE, "shifted": ANNULUS_SHIFTED_BY_A,
                    "absolute": ANNULUS_ABSOLUTE}[args.annulus_scaling]
-        annulus = AnnulusSpec(K=K, L=L if math.isfinite(L) else math.inf, scaling=scaling)
+        annulus = AnnulusSpec(K=K, L=L, scaling=scaling)
     req = CountRequest(shape=shape, t_grid=t_grid, R=args.R, annulus=annulus,
                        a_of_R=args.a_of_r)
     h, plus, minus = count_decomposed(cloud, req)
@@ -249,7 +250,6 @@ def _cmd_regime(args) -> int:
     growth = check_growth_condition(density, schedule, args.k, (lo, hi))
     sys.stdout.write("n,R_n,q_n,log_growth_product\n")
     ns = evidence_grid((lo, hi))
-    from .regimes import log_tau
     for i, n in enumerate(ns):
         R = schedule.radius(density, n)
         sys.stdout.write(f"{float(n)!r},{float(R)!r},{float(regime.q_values[i])!r},"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,6 +87,13 @@ def _float_list(section, key, raw: str) -> list[float]:
     if not items:
         raise ConfigError(f"[{section}] {key}: expected a comma list of numbers")
     return [_float(section, key, part) for part in items]
+
+
+def _float_pair(section, key, raw: str) -> tuple[float, float]:
+    values = _float_list(section, key, raw)
+    if len(values) != 2:
+        raise ConfigError(f"[{section}] {key}: expected two numbers, got {raw!r}")
+    return values[0], values[1]
 
 
 def _bool(section, key, raw: str) -> bool:
@@ -240,14 +246,12 @@ def parse_config(path: Path | str | None = None, text: str | None = None,
 
     t_grid = np.array(_float_list("experiment", "t_grid", sec["t_grid"]))
     n_ladder = tuple(_float_list("experiment", "n_ladder", sec["n_ladder"]))
-    band = (0.8, 1.2)
-    if "band" in sec:
-        lo, hi = _float_list("experiment", "band", sec["band"])
-        band = (lo, hi)
+    band = _float_pair("experiment", "band", sec["band"]) if "band" in sec else (0.8, 1.2)
     annulus = None
     if "annulus" in sec:
-        K, L = _float_list("experiment", "annulus", sec["annulus"])
-        annulus = (K, L if math.isfinite(L) else math.inf)
+        annulus = _float_pair("experiment", "annulus", sec["annulus"])
+        if not annulus[0] < annulus[1]:
+            raise ConfigError(f"[experiment] annulus: needs K < L, got {sec['annulus']!r}")
     classify = None
     if "classify_lo" in sec or "classify_hi" in sec:
         if not ("classify_lo" in sec and "classify_hi" in sec):

@@ -550,9 +550,6 @@ class RadiusSchedule:
     def radius(self, density: RadialDensity, n: float) -> float:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True)
 class PowerSchedule(RadiusSchedule):
@@ -564,9 +561,6 @@ class PowerSchedule(RadiusSchedule):
 
     def radius(self, density, n):
         return self.c0 * float(n) ** self.beta
-
-    def describe(self):
-        return f"power(c0={self.c0}, beta={self.beta})"
 
 
 @dataclass(frozen=True)
@@ -586,9 +580,6 @@ class CoreSchedule(RadiusSchedule):
     def radius(self, density, n):
         return core_radius(density, n, self.delta1, self.delta2)
 
-    def describe(self):
-        return f"core(delta1={self.delta1}, delta2={self.delta2})"
-
 
 @dataclass(frozen=True)
 class PoissonLayerSchedule(RadiusSchedule):
@@ -597,9 +588,6 @@ class PoissonLayerSchedule(RadiusSchedule):
 
     def radius(self, density, n):
         return poisson_layer_radius(density, n, self.k)
-
-    def describe(self):
-        return f"poisson_layer(k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -620,9 +608,6 @@ class LogBandSchedule(RadiusSchedule):
         arg = math.log(density.C) + math.log(n) \
             + self.beta * math.log(density.tau * math.log(n))
         return float(density.psi_inverse(arg))
-
-    def describe(self):
-        return f"log_band(beta={self.beta})"
 
 
 @dataclass(frozen=True)
@@ -646,9 +631,6 @@ class TableSchedule(RadiusSchedule):
         if not ns[0] <= n <= ns[-1]:
             raise ScheduleUndefinedError(f"n={n} outside table range")
         return float(np.exp(np.interp(np.log(n), np.log(ns), np.log(rs))))
-
-    def describe(self):
-        return f"table({len(self.entries)} entries)"
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .counting import (
     ANNULUS_SHIFTED_BY_A,
     AnnulusSpec,
     CountRequest,
+    annuli_census,
     count_decomposed,
     subset_indicators,
 )
@@ -36,6 +37,7 @@ from .densities import (
     RadialDensity,
     RadiusSchedule,
     ScheduleUndefinedError,
+    poisson_layer_radius,
     sample_poisson_cloud,
     unit_ball_volume,
 )
@@ -551,9 +553,6 @@ def run_core_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_annuli_census_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Layered census: counts of each complete shape per Poisson-layer annulus."""
-    from .counting import annuli_census
-    from .densities import poisson_layer_radius
-
     started = time.perf_counter()
     density = cfg.density
     kmax = cfg.kmax_census

@@ -1,9 +1,6 @@
 """Atlas enumeration, canonical forms, and the indicator family."""
 
-import dataclasses
 import itertools
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import networkx as nx
 import numpy as np
@@ -11,7 +8,6 @@ import pytest
 
 from rgglab.atlas import (
     UnsupportedOrderError,
-    _connected_flags,
     build_atlas,
     canonical_mask,
     canonical_masks,
@@ -20,7 +16,6 @@ from rgglab.atlas import (
     h_minus,
     h_plus,
     h_t,
-    is_connected_mask,
     named_shape,
     pair_bit_index,
     shape_from_edges,
@@ -59,16 +54,12 @@ def test_atlas_counts_small_vs_bruteforce(k, expected):
     assert _brute_force_class_count(k) == expected
 
 
-def test_atlas_counts_k5_k6():
+def test_atlas_counts_k5_to_k7():
     # frozen from the same brute-force oracle (run once; k=6 dedup is slow,
     # so the k=5 case keeps the oracle alive in-suite)
     assert _brute_force_class_count(5) == 21
     assert len(build_atlas(5).classes) == 21
     assert len(build_atlas(6).classes) == 112
-
-
-@pytest.mark.slow
-def test_atlas_count_k7():
     assert len(build_atlas(7).classes) == 853
 
 
@@ -81,14 +72,10 @@ def test_atlas_order_bounds():
 
 def test_atlas_structure():
     atlas = build_atlas(4)
-    # by_edge_count partitions the classes
-    total = sum(len(v) for v in atlas.by_edge_count.values())
-    assert total == len(atlas.classes)
-    for ell, group in atlas.by_edge_count.items():
-        assert all(s.edge_count == ell for s in group)
-    # minimum j = k-1 (tree), maximum j = k(k-1)/2 (complete)
-    assert min(atlas.by_edge_count) == 3
-    assert max(atlas.by_edge_count) == 6
+    # classes sorted by edge count, from j = k-1 (tree) to k(k-1)/2 (complete)
+    edge_counts = [s.edge_count for s in atlas.classes]
+    assert edge_counts == sorted(edge_counts)
+    assert edge_counts[0] == 3 and edge_counts[-1] == 6
     # canonical forms unique
     canons = [s.canonical_form for s in atlas.classes]
     assert len(set(canons)) == len(canons)
@@ -211,25 +198,36 @@ def test_export_text():
     assert k == "3" and "-" in edges and canon.isdigit()
 
 
-def test_connectivity_helper():
-    pb = pair_bit_index(3)
-    assert is_connected_mask((1 << pb[0, 1]) | (1 << pb[1, 2]), 3)
-    assert not is_connected_mask(1 << pb[0, 1], 3)
-
-
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
-def test_connected_flags_match_scalar_reference(k):
-    flags = _connected_flags(k)
-    assert flags.dtype == bool and flags.shape == (1 << (k * (k - 1) // 2),)
-    assert flags.tolist() == [is_connected_mask(m, k) for m in range(flags.size)]
-
-
 def _scalar_canonical(mask: int, k: int) -> int:
     """min over all k! relabelings of the mask, one bit at a time."""
     pb = pair_bit_index(k)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k) if mask >> pb[i, j] & 1]
     return min(sum(1 << int(pb[perm[i], perm[j]]) for i, j in edges)
                for perm in itertools.permutations(range(k)))
+
+
+def test_class_table_matches_networkx():
+    # every table entry, read as the classifier reads it: -1 iff networkx
+    # finds the graph disconnected, else the class of its canonical form
+    for k in range(2, 8):
+        atlas = build_atlas(k)
+        P = k * (k - 1) // 2
+        table = atlas._class_table
+        assert table.dtype == np.int16 and table.shape == (1 << P,)
+        assert not table.flags.writeable
+        if k <= 5:
+            masks = np.arange(1 << P, dtype=np.int64)
+        else:
+            masks = np.random.default_rng(10 + k).integers(0, 1 << P, 2002)
+            masks[:2] = [0, (1 << P) - 1]
+        index_of = {s.canonical_form: i for i, s in enumerate(atlas.classes)}
+        got = atlas._class_indices(masks).tolist()
+        canon = canonical_masks(masks, k).tolist()
+        for mask, idx, c in zip(masks.tolist(), got, canon):
+            if nx.is_connected(_nx_graph(mask, k)):
+                assert idx == index_of[c], (k, mask)
+            else:
+                assert idx == -1, (k, mask)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
@@ -315,25 +313,3 @@ def test_config_mask_boundary_tie():
                                          named_shape(2, "edge"))
     assert h.tolist() == [[False, True]]
     assert minus.tolist() == [[False, False]]
-
-
-def test_k7_memo_shared_across_threads():
-    # k = 7 classifies through a memo that replication threads share; a
-    # fresh memo filled by 4 threads must give the single-thread answer
-    shape = named_shape(7, "path")
-    grid = np.array([0.9, 1.3, 1.7])
-    rng = np.random.default_rng(7)
-    chain = np.stack([np.arange(7.0), np.zeros(7)], axis=1)
-    batches = [chain + 0.3 * rng.normal(size=(40, 7, 2)) for _ in range(8)]
-    expected = [build_atlas(7).indicators(b, grid, shape) for b in batches]
-    fresh = dataclasses.replace(build_atlas(7), _lazy_cache={})
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            got = list(pool.map(lambda b: fresh.indicators(b, grid, shape), batches))
-    finally:
-        sys.setswitchinterval(old)
-    for (h, minus), (h_ref, minus_ref) in zip(got, expected):
-        assert np.array_equal(h, h_ref) and np.array_equal(minus, minus_ref)
-    assert fresh._lazy_cache

@@ -266,6 +266,15 @@ def test_config_parser_validation(tmp_path):
     # family/parameter mismatches
     with pytest.raises(ConfigError):
         parse_config(text=SMALL_CLT.replace("alpha = 4.0", "tau = 1.0"))
+    # band and annulus take exactly two numbers; an annulus needs K < L,
+    # which NaN and -inf bounds fail
+    for key, value in (("band", "0.5"), ("band", "0.5, 1, 2"), ("annulus", "1.0"),
+                       ("annulus", "1.0, nan"), ("annulus", "1.0, -inf"),
+                       ("annulus", "nan, 2"), ("annulus", "2, 1")):
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: "):
+            parse_config(text=SMALL_CLT, overrides=[f"experiment.{key}={value}"])
+    parsed = parse_config(text=SMALL_CLT, overrides=["experiment.annulus=1.0, inf"])
+    assert parsed.experiment.annulus == (1.0, math.inf)
 
 
 def test_usage_error_exit_2(capsys):
@@ -341,13 +350,16 @@ def test_oracle_annulus_flags_restrict_or_are_refused(capsys):
 def test_bad_input_is_a_typed_error_exit_2(capsys):
     oracle = ("oracle", "--kind", "L", "--k", "2", "--ell", "2", "--alpha", "4",
               "--samples", "20000")
+    count = ("count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
+             "--k", "2", "--t-grid")
     for argv, message in (
         (("regime", "--family", "vonmises", "--d", "2", "--tau", "2", "--schedule",
           "weak_core", "--n-range", "1e2,1e6"), "superexponential tail"),
         ((*oracle, "--d", "0", "--t-grid", "1"), "dimension d must be >= 1"),
         ((*oracle, "--d", "2", "--t-grid", "nan"), "t_grid must be a nonempty nonnegative"),
-        (("count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
-          "--k", "2", "--t-grid", "nan"), "t_grid must be nonnegative"),
+        ((*count, "nan"), "t_grid must be nonnegative"),
+        ((*count, "1", "--annulus", "1,nan"), "annulus needs K < L"),
+        ((*count, "1", "--annulus", "1,-inf"), "annulus needs K < L"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv

@@ -226,7 +226,7 @@ def _boundary_configs(d: int, t: float) -> np.ndarray:
 
 def test_indicator_values_match_reference(rng, path3):
     grid = np.array([0.4, 0.9, 1.7])
-    # k = 7 (no full lookup table): jittered unit-step chains along e1
+    # k = 7: jittered unit-step chains along e1
     chain = np.stack([np.arange(7.0), np.zeros(7)], axis=1)
     cases = [(path3, rng.normal(size=(50, 3, d))) for d in (1, 2, 3)]
     cases += [(named_shape(7, "path"), chain + 0.25 * rng.normal(size=(50, 7, 2)))]
