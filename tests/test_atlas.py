@@ -54,12 +54,15 @@ def test_atlas_counts_small_vs_bruteforce(k, expected):
     assert _brute_force_class_count(k) == expected
 
 
-def test_atlas_counts_k5_to_k7():
+def test_atlas_counts_k5_k6():
     # frozen from the same brute-force oracle (run once; k=6 dedup is slow,
     # so the k=5 case keeps the oracle alive in-suite)
     assert _brute_force_class_count(5) == 21
     assert len(build_atlas(5).classes) == 21
     assert len(build_atlas(6).classes) == 112
+
+
+def test_atlas_count_k7():
     assert len(build_atlas(7).classes) == 853
 
 
