@@ -6,24 +6,32 @@ Subcommands wrap the library modules: ``atlas`` (class enumeration),
 (classification report), and ``experiment`` (configured runs).
 
 Exit codes: 0 success / checks passed, 1 experiment checks failed,
-2 configuration error.  Environment fallbacks (used when the flag is
-absent): RGGLAB_SEED, RGGLAB_WORKERS, RGGLAB_OUT.
+2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .atlas import GraphShape, build_atlas
-from .config import ConfigError, build_density, build_schedule, build_shape, parse_config
+from .config import (
+    ConfigError,
+    _float_list,
+    _float_pair,
+    _int_list,
+    build_density,
+    build_schedule,
+    build_shape,
+    parse_config,
+)
 from .counting import (
     ANNULUS_ABSOLUTE,
     ANNULUS_RADIUS_MULTIPLE,
@@ -54,6 +62,7 @@ from .harness import (
     run_core_experiment,
     run_poisson_layer_experiment,
     write_covariance_csv,
+    write_covariance_rows,
     write_report,
 )
 from .limits import OracleParams, brownian_identity_check, covariance_L, covariance_M, mixture_covariance
@@ -71,11 +80,14 @@ _CONFIG_ERRORS = (ConfigError, InvalidParameterError, ScheduleUndefinedError,
                   ExperimentError, ValueError)
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The ``--out`` file for writing, or stdout when the flag is absent."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _config_section(name: str, values: dict) -> configparser.ConfigParser:
@@ -101,18 +113,15 @@ def _add_density_flags(sub):
 
 
 def _cmd_atlas(args) -> int:
-    atlas = build_atlas(args.k)
-    out = atlas.export_text()
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
+    text = build_atlas(args.k).export_text()
+    with _output(args.out) as out:
+        out.write(text)
     return 0
 
 
 def _cmd_radii(args) -> int:
     density = _density_from_args(args)
-    layers = [int(k) for k in args.k_layers.split(",")] if args.k_layers else [2, 3]
+    layers = _int_list("radii", "--k-layers", args.k_layers)
     header = ["n", "R_weak", "R_core"] + [f"R_layer_k{k}" for k in layers]
     lines = [",".join(header)]
     for n in args.n:
@@ -125,11 +134,8 @@ def _cmd_radii(args) -> int:
         for k in layers:
             row.append(repr(poisson_layer_radius(density, n, k)))
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as out:
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -141,15 +147,11 @@ def _cmd_sample(args) -> int:
                                  seed=args.seed)
     if args.binary_out:
         save_cloud(args.binary_out, cloud)
-    else:
-        out = sys.stdout if not args.out else open(args.out, "w")
-        try:
-            out.write(",".join(f"x{i}" for i in range(density.d)) + "\n")
-            for row in cloud.points:
-                out.write(",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if args.out:
-                out.close()
+        return 0
+    with _output(args.out) as out:
+        out.write(",".join(f"x{i}" for i in range(density.d)) + "\n")
+        for row in cloud.points:
+            out.write(",".join(repr(float(v)) for v in row) + "\n")
     return 0
 
 
@@ -175,31 +177,27 @@ def _cmd_count(args) -> int:
                                      exterior_radius=args.exterior_radius,
                                      seed=args.seed)
     shape = _shape_from_args(args)
-    t_grid = np.array([float(x) for x in args.t_grid.split(",")])
+    t_grid = np.array(_float_list("count", "--t-grid", args.t_grid))
     annulus = None
     if args.annulus:
-        K, L = (float(x) for x in args.annulus.split(","))
+        K, L = _float_pair("count", "--annulus", args.annulus)
         scaling = {"multiple": ANNULUS_RADIUS_MULTIPLE, "shifted": ANNULUS_SHIFTED_BY_A,
                    "absolute": ANNULUS_ABSOLUTE}[args.annulus_scaling]
         annulus = AnnulusSpec(K=K, L=L, scaling=scaling)
     req = CountRequest(shape=shape, t_grid=t_grid, R=args.R, annulus=annulus,
                        a_of_R=args.a_of_r)
     h, plus, minus = count_decomposed(cloud, req)
-    out = sys.stdout if not args.out else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         out.write("seed,t,count_h,count_plus,count_minus\n")
         for j, t in enumerate(t_grid):
             out.write(f"{args.seed},{float(t)!r},{h.counts[j]},"
                       f"{plus.counts[j]},{minus.counts[j]}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def _cmd_oracle(args) -> int:
     shape = _shape_from_args(args)
-    t_grid = np.array([float(x) for x in args.t_grid.split(",")])
+    t_grid = np.array(_float_list("oracle", "--t-grid", args.t_grid))
     annulus = None
     if args.K is not None or args.L is not None:
         annulus = (args.K if args.K is not None else 0.0,
@@ -222,16 +220,10 @@ def _cmd_oracle(args) -> int:
             {k: v for k, v in report.items() if np.isscalar(v)},
             indent=2, sort_keys=True, default=float) + "\n")
         return 0 if report["passed"] else 1
-    path = Path(args.out) if args.out else None
-    if path:
-        write_covariance_csv(cov, path)
+    if args.out:
+        write_covariance_csv(cov, Path(args.out))   # rows under a provenance line
     else:
-        fh = sys.stdout
-        fh.write("t,s,value,std_err\n")
-        for i, t in enumerate(cov.t_grid):
-            for j, s in enumerate(cov.t_grid):
-                fh.write(f"{float(t)!r},{float(s)!r},{float(cov.matrix[i, j])!r},"
-                         f"{float(cov.std_err[i, j])!r}\n")
+        write_covariance_rows(cov, sys.stdout)
     return 0
 
 
@@ -245,7 +237,7 @@ def _schedule_from_args(args) -> RadiusSchedule:
 def _cmd_regime(args) -> int:
     density = _density_from_args(args)
     schedule = _schedule_from_args(args)
-    lo, hi = (float(x) for x in args.n_range.split(","))
+    lo, hi = _float_pair("regime", "--n-range", args.n_range)
     regime = classify_regime(density, schedule, (lo, hi))
     growth = check_growth_condition(density, schedule, args.k, (lo, hi))
     sys.stdout.write("n,R_n,q_n,log_growth_product\n")
@@ -285,16 +277,11 @@ def _cmd_experiment(args) -> int:
         cfg.master_seed = args.seed
     out_dir = Path(args.out) if args.out else None
 
-    if parsed.kind == "clt":
-        report = run_clt_experiment(cfg)
-    elif parsed.kind == "poisson_layer":
-        report = run_poisson_layer_experiment(cfg, t_fixed=parsed.t_fixed)
-    elif parsed.kind == "core":
-        report = run_core_experiment(cfg)
-    elif parsed.kind == "annuli_census":
-        report = run_annuli_census_experiment(cfg)
-    else:
-        report = palm_mean_check(cfg, n=parsed.palm_n)
+    # built per call, so each runner is read from the module globals at call time
+    runners = {"clt": run_clt_experiment, "poisson_layer": run_poisson_layer_experiment,
+               "core": run_core_experiment, "annuli_census": run_annuli_census_experiment,
+               "palm": palm_mean_check}
+    report = runners[parsed.kind](cfg)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_density_flags(p)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--exterior-radius", type=float, default=None)
-    p.add_argument("--seed", type=int, default=_env_default("RGGLAB_SEED", int, 0))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--binary-out", help="binary cloud cache path")
     p.set_defaults(func=_cmd_sample)
@@ -346,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=1000.0)
     p.add_argument("--exterior-radius", type=float, default=None)
     p.add_argument("--cloud", help="binary cloud cache to load instead of sampling")
-    p.add_argument("--seed", type=int, default=_env_default("RGGLAB_SEED", int, 0))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--shape-name", default="complete")
     p.add_argument("--edges", help="explicit edge list i-j;i-j")
@@ -376,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float)
     p.add_argument("--L", type=float)
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=_env_default("RGGLAB_SEED", int, 0))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
@@ -395,10 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", metavar="section.key=value",
                    help="override a config field (repeatable)")
-    p.add_argument("--out", default=_env_default("RGGLAB_OUT", str, None))
-    p.add_argument("--workers", type=int,
-                   default=_env_default("RGGLAB_WORKERS", int, None))
-    p.add_argument("--seed", type=int, default=_env_default("RGGLAB_SEED", int, None))
+    p.add_argument("--out")
+    p.add_argument("--workers", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -42,7 +42,7 @@ _SCHEMA = {
     "experiment": {
         "kind", "t_grid", "n_ladder", "replications", "master_seed", "workers",
         "oracle_samples", "t_ref", "band", "annulus", "classify_lo",
-        "classify_hi", "kmax_census", "t_fixed", "palm_n", "leave_one_out",
+        "classify_hi", "kmax_census",
     },
 }
 _REQUIRED = {
@@ -58,8 +58,6 @@ EXPERIMENT_KINDS = ("clt", "poisson_layer", "core", "annuli_census", "palm")
 class ParsedConfig:
     experiment: ExperimentConfig
     kind: str
-    t_fixed: float | None
-    palm_n: float | None
     raw: configparser.ConfigParser
 
     def echo(self) -> str:
@@ -77,16 +75,24 @@ def _float(section, key, raw: str) -> float:
 
 def _int(section, key, raw: str) -> int:
     value = _float(section, key, raw)
-    if value != int(value):
+    if not value.is_integer():
         raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
     return int(value)
 
 
-def _float_list(section, key, raw: str) -> list[float]:
+def _list_items(section, key, raw: str) -> list[str]:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"[{section}] {key}: expected a comma list of numbers")
-    return [_float(section, key, part) for part in items]
+    return items
+
+
+def _float_list(section, key, raw: str) -> list[float]:
+    return [_float(section, key, part) for part in _list_items(section, key, raw)]
+
+
+def _int_list(section, key, raw: str) -> list[int]:
+    return [_int(section, key, part) for part in _list_items(section, key, raw)]
 
 
 def _float_pair(section, key, raw: str) -> tuple[float, float]:
@@ -94,15 +100,6 @@ def _float_pair(section, key, raw: str) -> tuple[float, float]:
     if len(values) != 2:
         raise ConfigError(f"[{section}] {key}: expected two numbers, got {raw!r}")
     return values[0], values[1]
-
-
-def _bool(section, key, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
 
 
 def _validate_sections(parser: configparser.ConfigParser) -> None:
@@ -246,7 +243,11 @@ def parse_config(path: Path | str | None = None, text: str | None = None,
 
     t_grid = np.array(_float_list("experiment", "t_grid", sec["t_grid"]))
     n_ladder = tuple(_float_list("experiment", "n_ladder", sec["n_ladder"]))
-    band = _float_pair("experiment", "band", sec["band"]) if "band" in sec else (0.8, 1.2)
+    band = (0.8, 1.2)
+    if "band" in sec:
+        band = _float_pair("experiment", "band", sec["band"])
+        if not band[0] <= band[1]:
+            raise ConfigError(f"[experiment] band: needs lo <= hi, got {sec['band']!r}")
     annulus = None
     if "annulus" in sec:
         annulus = _float_pair("experiment", "annulus", sec["annulus"])
@@ -270,14 +271,8 @@ def parse_config(path: Path | str | None = None, text: str | None = None,
                                 sec.get("oracle_samples", "400000")),
             t_ref=_float("experiment", "t_ref", sec.get("t_ref", "1.0")),
             band=band, annulus=annulus, classify_n_range=classify,
-            leave_one_out=_bool("experiment", "leave_one_out",
-                                sec.get("leave_one_out", "true")),
             kmax_census=_int("experiment", "kmax_census", sec.get("kmax_census", "3")),
         )
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-
-    t_fixed = _float("experiment", "t_fixed", sec["t_fixed"]) if "t_fixed" in sec else None
-    palm_n = _float("experiment", "palm_n", sec["palm_n"]) if "palm_n" in sec else None
-    return ParsedConfig(experiment=experiment, kind=kind, t_fixed=t_fixed,
-                        palm_n=palm_n, raw=parser)
+    return ParsedConfig(experiment=experiment, kind=kind, raw=parser)

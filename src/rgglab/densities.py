@@ -202,10 +202,6 @@ class RadialDensity:
     def log_radial_profile(self, r):
         return math.log(self.C) + self._log_g(np.asarray(r, dtype=float))
 
-    def pdf(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.radial_profile(np.linalg.norm(x, axis=1))
-
     def _normalize(self) -> float:
         """Normalizing constant by radial quadrature: C^-1 = s_{d-1} int r^{d-1} g."""
         s = sphere_surface_area(self.d)

@@ -62,6 +62,9 @@ from .regimes import (
 # always persisted so the flag can be re-evaluated after the fact
 GOF_P_THRESHOLD = 0.01
 BAND_FRACTION = 0.9
+# most grid cubes a core-coverage rung may enumerate; a larger rung raises
+# ExperimentError before it draws any cloud
+CORE_CELL_BUDGET = 1 << 27
 
 
 class ExperimentError(RuntimeError):
@@ -83,10 +86,7 @@ class ExperimentConfig:
     band: tuple[float, float] = (0.8, 1.2)
     annulus: tuple[float, float] | None = None
     classify_n_range: tuple[float, float] | None = None
-    leave_one_out: bool = True
     kmax_census: int = 3
-    core_cell_budget: int = 1 << 27
-    out_dir: Path | None = None
 
     def __post_init__(self) -> None:
         self.t_grid = np.asarray(self.t_grid, dtype=float)
@@ -248,8 +248,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         band_fraction = float(in_band.mean()) if finite.any() else math.nan
 
         t_idx = int(np.argmin(np.abs(cfg.t_grid - cfg.t_ref)))
-        paths = standardize(curves.astype(float), tau_n,
-                            leave_one_out=cfg.leave_one_out)
+        paths = standardize(curves.astype(float), tau_n)
 
         rungs.append({
             "n": n, "R": R, "tau": tau_n,
@@ -337,21 +336,20 @@ def palm_expectation(density: RadialDensity, shape: GraphShape, R: float,
     return scale * m1, scale * se1, scale * m2, scale * se2
 
 
-def palm_mean_check(cfg: ExperimentConfig, n: float | None = None,
-                    t_pair: tuple[float, float] | None = None,
-                    mc_samples: int | None = None) -> ExperimentReport:
+def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
     """First two Palm identities as testable mean / joint-count formulas.
 
     Empirical mean of G_n(t) against (n^k/k!) E{h_t 1{m >= R}}, and the
-    joint-persistence count sum h_t h_s against (n^k/k!) E{h_t h_s 1}.
+    joint-persistence count sum h_t h_s against (n^k/k!) E{h_t h_s 1}, at
+    the ladder's top rung n with t = t_ref and s = 0.75 t_ref.
     """
     started = time.perf_counter()
     shape, density, schedule = cfg.shape, cfg.density, cfg.schedule
     k = shape.k
     if k > 3:
         raise ExperimentError("palm check limited to k <= 3 (quadrature cost)")
-    n = float(n if n is not None else cfg.n_ladder[-1])
-    t, s = t_pair if t_pair is not None else (cfg.t_ref, 0.75 * cfg.t_ref)
+    n = cfg.n_ladder[-1]
+    t, s = cfg.t_ref, 0.75 * cfg.t_ref
     R = schedule.radius(density, n)
     grid = np.array(sorted({t, s}))
     ti, si = int(np.searchsorted(grid, t)), int(np.searchsorted(grid, s))
@@ -368,8 +366,8 @@ def palm_mean_check(cfg: ExperimentConfig, n: float | None = None,
     joints = np.array([r[1] for r in results], dtype=float)
 
     rng = np.random.default_rng(replication_seed(cfg.master_seed, 9999, 0))
-    samples = mc_samples or cfg.oracle_samples
-    m1, se1, m2, se2 = palm_expectation(density, shape, R, (t, s), samples, rng)
+    m1, se1, m2, se2 = palm_expectation(density, shape, R, (t, s),
+                                        cfg.oracle_samples, rng)
     coeff = math.exp(k * math.log(n) - math.log(math.factorial(k)))
     pred_mean, pred_mean_se = coeff * m1, coeff * se1
     pred_joint, pred_joint_se = coeff * m2, coeff * se2
@@ -445,13 +443,12 @@ def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
             "bins": len(merged_obs)}
 
 
-def run_poisson_layer_experiment(cfg: ExperimentConfig,
-                                 t_fixed: float | None = None) -> ExperimentReport:
-    """Dispersion and Poisson GOF of G_n(t) at the Poisson-layer radius."""
+def run_poisson_layer_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Dispersion and Poisson GOF of G_n(t_ref) at the Poisson-layer radius."""
     started = time.perf_counter()
     if not isinstance(cfg.schedule, PoissonLayerSchedule):
         raise ExperimentError("poisson-layer experiment needs the poisson_layer schedule")
-    t = float(t_fixed if t_fixed is not None else cfg.t_ref)
+    t = float(cfg.t_ref)
     req_grid = np.array([t])
     rungs = []
     for rung_idx, n in enumerate(cfg.n_ladder):
@@ -512,9 +509,9 @@ def run_core_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         R = cfg.schedule.radius(density, n)
         R_big = 1.5 * R
         n_cells_est = (2 * (R_big / g + 2)) ** d
-        if n_cells_est > cfg.core_cell_budget:
+        if n_cells_est > CORE_CELL_BUDGET:
             raise ExperimentError(
-                f"cube count ~{n_cells_est:.3g} exceeds budget {cfg.core_cell_budget}")
+                f"cube count ~{n_cells_est:.3g} exceeds budget {CORE_CELL_BUDGET}")
         cubes_R = cubes_inside_ball(R, g, d)
         cubes_big = cubes_inside_ball(R_big, g, d)
         base = cubes_big.min(axis=0) - 1
@@ -709,9 +706,14 @@ def write_covariance_csv(cov: LimitCovariance, path: Path) -> None:
     with open(path, "w") as fh:
         prov = {k: v for k, v in cov.provenance.items() if k != "terms"}
         fh.write(f"# provenance: {json.dumps(prov, sort_keys=True, default=str)}\n")
-        fh.write("t,s,value,std_err\n")
-        for i, t in enumerate(cov.t_grid):
-            for j, s in enumerate(cov.t_grid):
-                fh.write(f"{_fmt(float(t))},{_fmt(float(s))},"
-                         f"{_fmt(float(cov.matrix[i, j]))},"
-                         f"{_fmt(float(cov.std_err[i, j]))}\n")
+        write_covariance_rows(cov, fh)
+
+
+def write_covariance_rows(cov: LimitCovariance, fh) -> None:
+    """The ``t,s,value,std_err`` header and one row per grid pair."""
+    fh.write("t,s,value,std_err\n")
+    for i, t in enumerate(cov.t_grid):
+        for j, s in enumerate(cov.t_grid):
+            fh.write(f"{_fmt(float(t))},{_fmt(float(s))},"
+                     f"{_fmt(float(cov.matrix[i, j]))},"
+                     f"{_fmt(float(cov.std_err[i, j]))}\n")

@@ -93,9 +93,6 @@ class GrowthReport:
     log_products: np.ndarray
     final_decade_gain: float    # log-product increase over the last decade
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.passed
-
 
 def _log_growth_product(density: RadialDensity, R: float, n: float, k: int) -> float:
     """log of n^k R^d f^k (heavy) or n^k a(R) R^{d-1} f^k (light)."""
@@ -151,11 +148,11 @@ def tau(density: RadialDensity, schedule: RadiusSchedule, regime: RegimeClass | 
     return value
 
 
-def standardize(curves: np.ndarray, tau_n: float, leave_one_out: bool = False) -> np.ndarray:
-    """X_r(t) = (G_r(t) - center(t)) / sqrt(tau_n) across replications.
+def standardize(curves: np.ndarray, tau_n: float) -> np.ndarray:
+    """X_r(t) = (G_r(t) - center_r(t)) / sqrt(tau_n) across replications.
 
-    ``leave_one_out`` centers each replication by the mean of the others,
-    avoiding the small self-centering bias of the plain sample mean.
+    Each replication is centered by the mean of the others, avoiding the
+    small self-centering bias of the plain sample mean.
     """
     curves = np.asarray(curves, dtype=float)
     if curves.ndim != 2 or curves.shape[0] < 2:
@@ -164,8 +161,5 @@ def standardize(curves: np.ndarray, tau_n: float, leave_one_out: bool = False) -
         raise ValueError("tau must be positive")
     reps = curves.shape[0]
     mean = curves.mean(axis=0, keepdims=True)
-    if leave_one_out:
-        centered = (curves - mean) * (reps / (reps - 1.0))
-    else:
-        centered = curves - mean
+    centered = (curves - mean) * (reps / (reps - 1.0))
     return centered / math.sqrt(tau_n)

@@ -311,7 +311,7 @@ def test_criterion_07_poisson_layer():
         n_ladder=(1e5, 1e6), replications=2000, master_seed=MASTER_SEED,
         workers=WORKERS,
     )
-    rep = run_poisson_layer_experiment(cfg, t_fixed=1.0)
+    rep = run_poisson_layer_experiment(cfg)
     top = rep.rungs[-1]
     means = [r["mean"] for r in rep.rungs]
     print(f"  mean counts per rung: {[round(m, 3) for m in means]} (flat trend)")
@@ -384,7 +384,7 @@ def test_criterion_10_palm_mean():
     factorial-moment case (R = 0, t large) matches n^2/2 within 3 SE."""
     c = Checker("10 (palm mean)")
     cfg = _heavy_sparse_config(replications=1000, rungs=(1e5,))
-    rep = palm_mean_check(cfg, n=1e5, mc_samples=400_000)
+    rep = palm_mean_check(cfg)
     r = rep.rungs[0]
     c.check(rep.flags["mean_within_3se"],
             f"mean {r['empirical_mean']:.4f} +- {r['empirical_mean_se']:.4f} vs "

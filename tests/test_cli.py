@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,7 +70,7 @@ t_grid = 1.0
 n_ladder = 1e4
 replications = 200
 master_seed = 1
-t_fixed = 1.0
+t_ref = 1.0
 """
 
 
@@ -266,15 +267,27 @@ def test_config_parser_validation(tmp_path):
     # family/parameter mismatches
     with pytest.raises(ConfigError):
         parse_config(text=SMALL_CLT.replace("alpha = 4.0", "tau = 1.0"))
-    # band and annulus take exactly two numbers; an annulus needs K < L,
-    # which NaN and -inf bounds fail
-    for key, value in (("band", "0.5"), ("band", "0.5, 1, 2"), ("annulus", "1.0"),
+    # band and annulus take exactly two numbers; a band needs lo <= hi and an
+    # annulus K < L, which NaN and -inf bounds fail
+    for key, value in (("band", "0.5"), ("band", "0.5, 1, 2"), ("band", "nan, 2"),
+                       ("band", "3, 2"), ("annulus", "1.0"),
                        ("annulus", "1.0, nan"), ("annulus", "1.0, -inf"),
                        ("annulus", "nan, 2"), ("annulus", "2, 1")):
         with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: "):
             parse_config(text=SMALL_CLT, overrides=[f"experiment.{key}={value}"])
     parsed = parse_config(text=SMALL_CLT, overrides=["experiment.annulus=1.0, inf"])
     assert parsed.experiment.annulus == (1.0, math.inf)
+
+
+def test_readme_ini_example_parses():
+    """The README's configuration example is a valid config, key for key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    parsed = parse_config(text=block)
+    assert parsed.kind == "clt"
+    assert parsed.experiment.density.family == "power"
+    assert parsed.experiment.shape.k == 2
+    assert parsed.experiment.band == (0.8, 1.2)
 
 
 def test_usage_error_exit_2(capsys):
@@ -360,6 +373,10 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         ((*count, "nan"), "t_grid must be nonnegative"),
         ((*count, "1", "--annulus", "1,nan"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1,-inf"), "annulus needs K < L"),
+        ((*count, "1", "--annulus", "1"), "[count] --annulus: expected two numbers"),
+        ((*count, "1.0,x"), "[count] --t-grid: expected a number, got 'x'"),
+        (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",
+          "power", "--n-range", "1e2"), "[regime] --n-range: expected two numbers"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv

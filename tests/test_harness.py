@@ -201,11 +201,12 @@ def test_core_experiment(power24, k2):
     assert rep.flags["radius_monotone_all"]
     assert rep.flags["frequency_nondecreasing"]
     assert rep.rungs[-1]["frequency"] >= 0.9
-    # memory guard
-    cfg_small = small_cfg(power24, k2, schedule=CoreSchedule(delta1=0.125, delta2=0.5),
-                          replications=2, n_ladder=(1e5,), core_cell_budget=10)
-    with pytest.raises(ExperimentError):
-        run_core_experiment(cfg_small)
+    # memory guard: at n = 1e17 the core radius is about 2870, so the cube
+    # count estimate passes CORE_CELL_BUDGET and the run raises before sampling
+    cfg_huge = small_cfg(power24, k2, schedule=CoreSchedule(delta1=0.125, delta2=0.5),
+                         replications=2, n_ladder=(1e17,))
+    with pytest.raises(ExperimentError, match="exceeds budget"):
+        run_core_experiment(cfg_huge)
 
 
 def test_annuli_census_experiment(power24, k2):

@@ -100,12 +100,12 @@ def test_standardize():
     curves = np.array([[1.0, 2.0], [3.0, 6.0], [5.0, 4.0]])
     paths = standardize(curves, 4.0)
     assert np.allclose(paths.mean(axis=0), 0.0)
-    assert np.allclose(paths * 2.0, curves - curves.mean(axis=0))
+    # each replication is centered by the mean of the other two
+    others = (curves.sum(axis=0) - curves) / 2.0
+    assert np.allclose(paths * 2.0, curves - others)
+    assert np.allclose(paths * 2.0, (curves - curves.mean(axis=0)) * 1.5)
     # constant curves -> identically zero paths
     assert np.all(standardize(np.full((5, 3), 2.0), 1.0) == 0)
-    # leave-one-out centering rescales by R/(R-1)
-    loo = standardize(curves, 4.0, leave_one_out=True)
-    assert np.allclose(loo, paths * 1.5)
     with pytest.raises(ValueError):
         standardize(curves, 0.0)
     with pytest.raises(ValueError):
