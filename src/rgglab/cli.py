@@ -33,10 +33,6 @@ from .config import (
     parse_config,
 )
 from .counting import (
-    ANNULUS_ABSOLUTE,
-    ANNULUS_RADIUS_MULTIPLE,
-    ANNULUS_SHIFTED_BY_A,
-    AnnulusSpec,
     CloudFormatError,
     CountRequest,
     count_decomposed,
@@ -165,13 +161,13 @@ def _shape_from_args(args) -> GraphShape:
 
 
 def _cmd_count(args) -> int:
+    density = _density_from_args(args)
     if args.cloud:
         try:
             cloud = load_cloud(args.cloud)
         except (OSError, CloudFormatError) as exc:
             raise ConfigError(f"unreadable cloud: {exc}") from exc
     else:
-        density = _density_from_args(args)
         rng = np.random.default_rng(args.seed)
         cloud = sample_poisson_cloud(args.n, density, rng,
                                      exterior_radius=args.exterior_radius,
@@ -181,16 +177,14 @@ def _cmd_count(args) -> int:
     annulus = None
     if args.annulus:
         K, L = _float_pair("count", "--annulus", args.annulus)
-        scaling = {"multiple": ANNULUS_RADIUS_MULTIPLE, "shifted": ANNULUS_SHIFTED_BY_A,
-                   "absolute": ANNULUS_ABSOLUTE}[args.annulus_scaling]
-        annulus = AnnulusSpec(K=K, L=L, scaling=scaling)
-    req = CountRequest(shape=shape, t_grid=t_grid, R=args.R, annulus=annulus,
-                       a_of_R=args.a_of_r)
+        annulus = density.annulus_bounds(args.R, K, L)
+    req = CountRequest(shape=shape, t_grid=t_grid, R=args.R, annulus=annulus)
     h, plus, minus = count_decomposed(cloud, req)
+    seed = "" if cloud.seed is None else cloud.seed
     with _output(args.out) as out:
         out.write("seed,t,count_h,count_plus,count_minus\n")
         for j, t in enumerate(t_grid):
-            out.write(f"{args.seed},{float(t)!r},{h.counts[j]},"
+            out.write(f"{seed},{float(t)!r},{h.counts[j]},"
                       f"{plus.counts[j]},{minus.counts[j]}\n")
     return 0
 
@@ -202,7 +196,7 @@ def _cmd_oracle(args) -> int:
     if args.K is not None or args.L is not None:
         annulus = (args.K if args.K is not None else 0.0,
                    args.L if args.L is not None else math.inf)
-    params = OracleParams(d=args.d, k=args.k, ell=args.ell, shape=shape,
+    params = OracleParams(d=args.d, ell=args.ell, shape=shape,
                           alpha=args.alpha, c=args.c, t_grid=t_grid, annulus=annulus,
                           n_samples=args.samples, seed=args.seed)
     if args.kind == "L":
@@ -210,9 +204,7 @@ def _cmd_oracle(args) -> int:
     elif args.kind == "M":
         cov = covariance_M(params, mode=args.mode)
     elif args.kind == "mixture":
-        family = "light" if args.c is not None else "heavy"
-        cov = mixture_covariance(family, args.regime, params, annulus=annulus,
-                                 xi=args.xi)
+        cov = mixture_covariance(args.regime, params, xi=args.xi)
     else:  # brownian
         report = brownian_identity_check(params, mode="plus" if args.mode == "h"
                                          else args.mode)
@@ -339,11 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", help="explicit edge list i-j;i-j")
     p.add_argument("--t-grid", required=True, help="comma list of radii")
     p.add_argument("--R", type=float, default=0.0, help="exclusion radius")
-    p.add_argument("--annulus", help="K,L bounds for the Max-norm gate")
-    p.add_argument("--annulus-scaling", choices=("multiple", "shifted", "absolute"),
-                   default="multiple")
-    p.add_argument("--a-of-r", type=float, default=None,
-                   help="a(R) for the shifted annulus scaling")
+    p.add_argument("--annulus", help="K,L bounds for the Max-norm gate, in the "
+                   "family's units: [K R, L R) (power) or [R + K a(R), R + L a(R)) "
+                   "(vonmises)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_count)
 

@@ -75,47 +75,6 @@ def make_cloud(points: np.ndarray, n: float = 0.0, seed=None,
                       seed=seed, restricted_to=restricted_to)
 
 
-# annulus scaling conventions for the Max-norm gate
-ANNULUS_RADIUS_MULTIPLE = "radius_multiple"  # heavy tail: Max in [K*R, L*R)
-ANNULUS_SHIFTED_BY_A = "shifted_by_a"        # light tail: (Max-R)/a(R) in [K, L)
-ANNULUS_ABSOLUTE = "absolute"                # explicit radii [K, L)
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Restriction on the norm of the farthest subset point.
-
-    The interpretation flag is explicit because the two tail families use
-    different annuli (multiples of R versus a(R)-scaled shells); the engine
-    must not infer it from the density.
-    """
-
-    K: float
-    L: float
-    scaling: str = ANNULUS_RADIUS_MULTIPLE
-
-    def __post_init__(self) -> None:
-        if self.scaling not in (ANNULUS_RADIUS_MULTIPLE, ANNULUS_SHIFTED_BY_A,
-                                ANNULUS_ABSOLUTE):
-            raise InvalidRequestError(f"unknown annulus scaling {self.scaling!r}")
-        if not self.K < self.L:
-            raise InvalidRequestError("annulus needs K < L")
-        if self.scaling == ANNULUS_RADIUS_MULTIPLE and self.K < 1:
-            raise InvalidRequestError("radius-multiple annulus needs 1 <= K")
-        if self.scaling in (ANNULUS_SHIFTED_BY_A, ANNULUS_ABSOLUTE) and self.K < 0:
-            raise InvalidRequestError("annulus needs 0 <= K")
-
-    def bounds(self, R: float, a_of_R: float | None = None) -> tuple[float, float]:
-        """Absolute [lo, hi) bounds on the max norm."""
-        if self.scaling == ANNULUS_RADIUS_MULTIPLE:
-            return self.K * R, self.L * R
-        if self.scaling == ANNULUS_SHIFTED_BY_A:
-            if a_of_R is None:
-                raise InvalidRequestError("shifted annulus needs a(R)")
-            return R + self.K * a_of_R, R + self.L * a_of_R
-        return self.K, self.L
-
-
 MODE_H = "h"
 MODE_PLUS = "plus"
 MODE_MINUS = "minus"
@@ -126,9 +85,10 @@ class CountRequest:
     shape: GraphShape
     t_grid: np.ndarray
     R: float = 0.0
-    annulus: AnnulusSpec | None = None
+    # absolute [lo, hi) bounds on the norm of the farthest subset point; a
+    # density's ``annulus_bounds`` reads an annulus in its family's units
+    annulus: tuple[float, float] | None = None
     mode: str = MODE_H
-    a_of_R: float | None = None   # a(R_n), needed only for shifted annuli
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.t_grid, dtype=np.float64)
@@ -143,6 +103,11 @@ class CountRequest:
             raise InvalidRequestError(f"unknown mode {self.mode!r}")
         if self.R < 0:
             raise InvalidRequestError("exclusion radius must be >= 0")
+        if self.annulus is not None:
+            lo, hi = self.annulus
+            if not 0 <= lo < hi:
+                raise InvalidRequestError(
+                    f"annulus [{lo!r}, {hi!r}) needs 0 <= lo < hi")
 
 
 @dataclass
@@ -161,9 +126,7 @@ class CountingCurve:
 
 
 def _annulus_bounds(req: CountRequest) -> tuple[float, float]:
-    if req.annulus is None:
-        return 0.0, np.inf
-    return req.annulus.bounds(req.R, req.a_of_R)
+    return (0.0, np.inf) if req.annulus is None else req.annulus
 
 
 def subset_indicators(cloud: PointCloud,
@@ -355,10 +318,8 @@ def annuli_census(cloud: PointCloud, shapes: dict[int, GraphShape],
     for row, kk in enumerate(order):
         shape = shapes[kk]
         for col, (lo, hi) in enumerate(zip(ladder, uppers)):
-            req = CountRequest(
-                shape=shape, t_grid=np.array([t]), R=base,
-                annulus=AnnulusSpec(K=float(lo), L=float(hi), scaling=ANNULUS_ABSOLUTE),
-            )
+            req = CountRequest(shape=shape, t_grid=np.array([t]), R=base,
+                               annulus=(float(lo), float(hi)))
             table[row, col] = count_subgraphs(cloud, req).counts[0]
     return {"shapes": [shapes[kk] for kk in order], "ks": order,
             "ladder": ladder, "t": t, "counts": table}

@@ -329,6 +329,15 @@ class RadialDensity:
         raise UnsupportedOperationError(
             f"a(r) = 1/psi'(r) is defined for the von Mises family only, not {self.family}")
 
+    def log_shell_volume(self, R: float) -> float:
+        """log V(R), the volume factor of the normalizing product n^k f(R)^k V(R)."""
+        raise NotImplementedError
+
+    def annulus_bounds(self, R: float, K: float, L: float) -> tuple[float, float]:
+        """Absolute [lo, hi) bounds on the max norm of the annulus [K, L),
+        read in this family's units at the radius R."""
+        raise NotImplementedError
+
 
 class PowerLawDensity(RadialDensity):
     """f(x) = C / (1 + ||x||^alpha) with alpha > d."""
@@ -354,6 +363,18 @@ class PowerLawDensity(RadialDensity):
         s = sphere_surface_area(self.d)
         return (s * self.C / ((self.alpha - self.d) * np.asarray(u_tail))) \
             ** (1.0 / (self.alpha - self.d))
+
+    def log_shell_volume(self, R: float) -> float:
+        """d log R: heavy tails normalize by the ball volume R^d."""
+        return self.d * math.log(R)
+
+    def annulus_bounds(self, R: float, K: float, L: float) -> tuple[float, float]:
+        """[K R, L R): heavy-tail annuli are multiples of R, with 1 <= K < L."""
+        if not K < L:
+            raise InvalidParameterError("annulus needs K < L")
+        if K < 1:
+            raise InvalidParameterError("radius-multiple annulus needs 1 <= K")
+        return K * R, L * R
 
 
 class VonMisesDensity(RadialDensity):
@@ -417,6 +438,20 @@ class VonMisesDensity(RadialDensity):
             x = self.psi_inverse(np.maximum(-np.log(u / (s * self.C)) + corr, 0.0))
         return x
 
+    def log_shell_volume(self, R: float) -> float:
+        """(d-1) log R + log a(R): light tails normalize by the shell a(R) R^{d-1}."""
+        return (self.d - 1) * math.log(R) + math.log(float(self.a_function(R)))
+
+    def annulus_bounds(self, R: float, K: float, L: float) -> tuple[float, float]:
+        """[R + K a(R), R + L a(R)): light-tail annuli are a(R)-scaled shells
+        beyond R, with 0 <= K < L."""
+        if not K < L:
+            raise InvalidParameterError("annulus needs K < L")
+        if K < 0:
+            raise InvalidParameterError("annulus needs 0 <= K")
+        a_R = float(self.a_function(R))
+        return R + K * a_R, R + L * a_R
+
 
 # ---------------------------------------------------------------------------
 # derived radii
@@ -451,23 +486,17 @@ def weak_core_radius(density: RadialDensity, n: float) -> float:
     return _solve_increasing(fn, 0.0, max(1.0, density._scale()), "weak core radius")
 
 
-def _default_core_deltas(density: RadialDensity) -> tuple[float, float]:
-    """delta1 at half its admissible bound (power law), delta2 = 1/2."""
-    if density.family == "power":
-        bound = density.alpha / (2 ** density.d * density.d ** (density.d / 2 + 1))
-        return 0.5 * bound, 0.5
-    return math.nan, 0.5   # von Mises delta1 is determined by the family
-
-
 def core_radius(density: RadialDensity, n: float,
                 delta1: float | None = None, delta2: float | None = None) -> float:
-    """Largest-coverage core radius (family-specific closed criterion)."""
+    """Largest-coverage core radius (family-specific closed criterion).
+
+    Power law: delta1 defaults to half its admissible bound; delta2 to 1/2.
+    """
     n = float(n)
     if density.family == "power":
-        d1_default, d2_default = _default_core_deltas(density)
-        delta1 = d1_default if delta1 is None else float(delta1)
-        delta2 = d2_default if delta2 is None else float(delta2)
         bound = density.alpha / (2 ** density.d * density.d ** (density.d / 2 + 1))
+        delta1 = 0.5 * bound if delta1 is None else float(delta1)
+        delta2 = 0.5 if delta2 is None else float(delta2)
         if not 0 < delta1 < bound:
             raise InvalidParameterError(f"delta1 must lie in (0, {bound:.6g}), got {delta1}")
         if not 0 < delta2 < 1:
@@ -513,21 +542,15 @@ def core_radius(density: RadialDensity, n: float,
 
 
 def poisson_layer_radius(density: RadialDensity, n: float, k: int) -> float:
-    """Root of n^k R^d f(R)^k = 1 (heavy) or n^k a(R) R^{d-1} f(R)^k = 1 (light)."""
+    """Root of n^k f(R)^k V(R) = 1, with log V(R) the family's ``log_shell_volume``."""
     if k < 2:
         raise InvalidParameterError("layer radius needs k >= 2")
     n = float(n)
-    d = density.d
     log_n = math.log(n)
     lo = weak_core_radius(density, n)
 
-    if density.family == "power":
-        def log_eq(r):  # decreasing in r
-            return k * (log_n + density.log_radial_profile(r)) + d * math.log(r)
-    else:
-        def log_eq(r):
-            return (k * (log_n + density.log_radial_profile(r))
-                    + (d - 1) * math.log(r) + math.log(density.a_function(r)))
+    def log_eq(r):  # decreasing in r
+        return k * (log_n + density.log_radial_profile(r)) + density.log_shell_volume(r)
 
     if log_eq(lo) <= 0:
         raise ScheduleUndefinedError("poisson layer radius: no root beyond the weak core")
@@ -541,8 +564,6 @@ def poisson_layer_radius(density: RadialDensity, n: float, k: int) -> float:
 class RadiusSchedule:
     """R_n as a function of intensity n (strictly increasing over its range)."""
 
-    kind = "base"
-
     def radius(self, density: RadialDensity, n: float) -> float:
         raise NotImplementedError
 
@@ -553,7 +574,6 @@ class PowerSchedule(RadiusSchedule):
 
     c0: float = 1.0
     beta: float = 0.3
-    kind = "power"
 
     def radius(self, density, n):
         return self.c0 * float(n) ** self.beta
@@ -561,8 +581,6 @@ class PowerSchedule(RadiusSchedule):
 
 @dataclass(frozen=True)
 class WeakCoreSchedule(RadiusSchedule):
-    kind = "weak_core"
-
     def radius(self, density, n):
         return weak_core_radius(density, n)
 
@@ -571,7 +589,6 @@ class WeakCoreSchedule(RadiusSchedule):
 class CoreSchedule(RadiusSchedule):
     delta1: float | None = None
     delta2: float | None = None
-    kind = "core"
 
     def radius(self, density, n):
         return core_radius(density, n, self.delta1, self.delta2)
@@ -580,7 +597,6 @@ class CoreSchedule(RadiusSchedule):
 @dataclass(frozen=True)
 class PoissonLayerSchedule(RadiusSchedule):
     k: int = 2
-    kind = "poisson_layer"
 
     def radius(self, density, n):
         return poisson_layer_radius(density, n, self.k)
@@ -595,7 +611,6 @@ class LogBandSchedule(RadiusSchedule):
     """
 
     beta: float = 0.45
-    kind = "log_band"
 
     def radius(self, density, n):
         if density.family != "vonmises":
@@ -611,7 +626,6 @@ class TableSchedule(RadiusSchedule):
     """Explicit (n -> R_n) table with log-log interpolation between entries."""
 
     entries: tuple[tuple[float, float], ...] = ()
-    kind = "table"
 
     def __post_init__(self):
         ns = [e[0] for e in self.entries]

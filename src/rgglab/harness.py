@@ -24,9 +24,6 @@ from scipy import special
 from . import kernels
 from .atlas import GraphShape, build_atlas
 from .counting import (
-    ANNULUS_RADIUS_MULTIPLE,
-    ANNULUS_SHIFTED_BY_A,
-    AnnulusSpec,
     CountRequest,
     annuli_census,
     count_decomposed,
@@ -42,8 +39,6 @@ from .densities import (
     unit_ball_volume,
 )
 from .limits import (
-    HEAVY,
-    LIGHT,
     LimitCovariance,
     OracleParams,
     _ball_points,
@@ -136,18 +131,6 @@ def _run_replications(cfg: ExperimentConfig, rung_idx: int, work) -> list:
         return list(pool.map(one, reps))
 
 
-def _family(cfg: ExperimentConfig) -> str:
-    return LIGHT if cfg.density.family == "vonmises" else HEAVY
-
-
-def _annulus_spec(cfg: ExperimentConfig) -> AnnulusSpec | None:
-    if cfg.annulus is None:
-        return None
-    K, L = cfg.annulus
-    scaling = ANNULUS_SHIFTED_BY_A if _family(cfg) == LIGHT else ANNULUS_RADIUS_MULTIPLE
-    return AnnulusSpec(K=K, L=L, scaling=scaling)
-
-
 def _default_classify_range(cfg: ExperimentConfig) -> tuple[float, float]:
     """Ladder extended down to >= 4 decades, clipped where the schedule works.
 
@@ -188,7 +171,6 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     density, schedule, shape = cfg.density, cfg.schedule, cfg.shape
     k = shape.k
-    family = _family(cfg)
     n_range = cfg.classify_n_range or _default_classify_range(cfg)
     regime = classify_regime(density, schedule, n_range)
     growth = check_growth_condition(density, schedule, k, n_range)
@@ -199,22 +181,20 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "the normalizing product must diverge for the CLT experiment")
 
     oracle_params = OracleParams(
-        d=density.d, k=k, ell=k, shape=shape, t_grid=cfg.t_grid,
+        d=density.d, ell=k, shape=shape, t_grid=cfg.t_grid,
         alpha=getattr(density, "alpha", None),
-        c=getattr(density, "c_limit", None),
+        c=getattr(density, "c_limit", None), annulus=cfg.annulus,
         n_samples=cfg.oracle_samples, seed=cfg.master_seed + 10_000,
     )
-    oracle = mixture_covariance(family, regime, oracle_params, annulus=cfg.annulus)
+    oracle = mixture_covariance(regime, oracle_params)
 
-    ann_spec = _annulus_spec(cfg)
     rungs = []
     raw_rows = []
     for rung_idx, n in enumerate(cfg.n_ladder):
         R = schedule.radius(density, n)
-        a_R = float(density.a_function(R)) if family == LIGHT else None
         tau_n = math.exp(log_tau(density, regime, n, R, k))
-        req = CountRequest(shape=shape, t_grid=cfg.t_grid, R=R,
-                           annulus=ann_spec, a_of_R=a_R)
+        annulus = None if cfg.annulus is None else density.annulus_bounds(R, *cfg.annulus)
+        req = CountRequest(shape=shape, t_grid=cfg.t_grid, R=R, annulus=annulus)
 
         def work(rep, rng, _n=n, _R=R, _req=req):
             cloud = sample_poisson_cloud(_n, density, rng, exterior_radius=_R,

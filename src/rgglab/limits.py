@@ -70,8 +70,11 @@ def _check_ell(k: int, ell: int) -> None:
 
 @dataclass(frozen=True)
 class OracleParams:
+    """Oracle inputs.  ``mixture_covariance`` takes a set ``c`` for the light
+    family and an unset one for the heavy family; ``annulus`` is in that
+    family's units (multiples of R, or a(R)-scaled shells beyond R)."""
+
     d: int
-    k: int
     ell: int
     shape: GraphShape
     t_grid: np.ndarray
@@ -81,12 +84,14 @@ class OracleParams:
     n_samples: int = 200_000
     seed: int = 0
 
+    @property
+    def k(self) -> int:
+        return self.shape.k
+
     def __post_init__(self) -> None:
         _check_ell(self.k, self.ell)
         if self.d < 1:
             raise InvalidParameterError("dimension d must be >= 1")
-        if self.shape.k != self.k:
-            raise InvalidParameterError("shape order must equal k")
         grid = np.asarray(self.t_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0 or not np.all(grid >= 0):
             raise InvalidParameterError("t_grid must be a nonempty nonnegative 1-d array")
@@ -284,24 +289,19 @@ def covariance_M(params: OracleParams, mode: str = "h") -> LimitCovariance:
 # regime mixtures
 # ---------------------------------------------------------------------------
 
-HEAVY = "heavy"
-LIGHT = "light"
-
-
 def _heavy_weight(d: int, k: int, ell: int, alpha: float, K: float, L: float) -> float:
     expo = d - alpha * (2 * k - ell)
     upper = 0.0 if math.isinf(L) else L ** expo
     return K ** expo - upper
 
 
-def mixture_covariance(family: str, regime: RegimeClass | str, params: OracleParams,
-                       annulus: tuple[float, float] | None = None,
+def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
                        xi: float | None = None) -> LimitCovariance:
     """Regime-appropriate combination of block covariances.
 
-    Heavy family: annuli enter through the closed-form weights
-    (K^(d-alpha(2k-ell)) - L^(d-alpha(2k-ell))); light family: the block
-    integrals are restricted to the annulus domain directly.
+    Heavy family (``params.c`` unset): ``params.annulus`` enters through the
+    closed-form weights (K^(d-alpha(2k-ell)) - L^(d-alpha(2k-ell))); light
+    family: the block integrals are restricted to the annulus domain directly.
     """
     tag = regime.tag if isinstance(regime, RegimeClass) else regime
     if isinstance(regime, RegimeClass) and xi is None:
@@ -318,21 +318,17 @@ def mixture_covariance(family: str, regime: RegimeClass | str, params: OraclePar
     else:
         raise InvalidParameterError(f"unknown regime tag {tag!r}")
 
-    if family == HEAVY:
+    light = params.c is not None
+    annulus = params.annulus
+    if light:
+        if annulus is not None and not 0 <= annulus[0] < annulus[1]:
+            raise InvalidParameterError("light annulus needs 0 <= K < L")
+    else:
         if params.alpha is None:
             raise InvalidParameterError("heavy mixture needs alpha")
         K, L = annulus if annulus is not None else (1.0, math.inf)
         if not 1 <= K < L:
             raise InvalidParameterError("heavy annulus needs 1 <= K < L")
-    elif family == LIGHT:
-        if params.c is None:
-            raise InvalidParameterError("light mixture needs c")
-        if annulus is not None:
-            K, L = annulus
-            if not 0 <= K < L:
-                raise InvalidParameterError("light annulus needs 0 <= K < L")
-    else:
-        raise InvalidParameterError(f"unknown family {family!r}")
 
     T = params.t_grid.size
     matrix = np.zeros((T, T))
@@ -340,14 +336,15 @@ def mixture_covariance(family: str, regime: RegimeClass | str, params: OraclePar
     terms = []
     for ell in ells:
         sub = replace(params, ell=ell, seed=params.seed + ell,
-                      annulus=annulus if family == LIGHT else None)
-        block = covariance_M(sub) if family == LIGHT else covariance_L(sub)
+                      annulus=annulus if light else None)
+        block = covariance_M(sub) if light else covariance_L(sub)
         weight = 1.0 if tag != CRITICAL else xi ** (2 * k - ell)
-        if family == HEAVY:
+        if not light:
             weight *= _heavy_weight(params.d, k, ell, params.alpha, K, L)
         matrix += weight * block.matrix
         var += (weight * block.std_err) ** 2
         terms.append({"ell": ell, "weight": weight, "provenance": block.provenance})
+    family = "light" if light else "heavy"
     prov = {"formula": f"mixture_{family}_{tag}", "xi": xi,
             "annulus": annulus, "terms": terms}
     return LimitCovariance(t_grid=params.t_grid.copy(), matrix=matrix,

@@ -44,10 +44,6 @@ class RegimeClass:
             raise ValueError("critical regime carries a finite positive xi")
 
 
-def _family_is_light(density: RadialDensity) -> bool:
-    return density.family == "vonmises"
-
-
 def _check_light_usable(density: RadialDensity) -> None:
     if isinstance(density, VonMisesDensity) and density.c_limit == 0.0:
         raise BoundaryRegimeError(
@@ -94,22 +90,14 @@ class GrowthReport:
     final_decade_gain: float    # log-product increase over the last decade
 
 
-def _log_growth_product(density: RadialDensity, R: float, n: float, k: int) -> float:
-    """log of n^k R^d f^k (heavy) or n^k a(R) R^{d-1} f^k (light)."""
-    log_f = float(density.log_radial_profile(R))
-    base = k * (math.log(n) + log_f)
-    if _family_is_light(density):
-        return base + (density.d - 1) * math.log(R) + math.log(float(density.a_function(R)))
-    return base + density.d * math.log(R)
-
-
 def check_growth_condition(density: RadialDensity, schedule: RadiusSchedule,
                            k: int, n_range, per_decade: int = 8) -> GrowthReport:
-    """Pass iff the normalizing product still increases over the last decade."""
+    """Pass iff the normalizing product n^k f(R_n)^k V(R_n) still increases
+    over the last decade (its log is the sparse log tau_n)."""
     _check_light_usable(density)
     ns = evidence_grid(n_range, per_decade)
     logs = np.array([
-        _log_growth_product(density, schedule.radius(density, n), n, k) for n in ns
+        log_tau(density, SPARSE, n, schedule.radius(density, n), k) for n in ns
     ])
     steps_per_decade = max(int(round(1.0 / math.log10(ns[1] / ns[0]))), 1)
     gain = float(logs[-1] - logs[-1 - min(steps_per_decade, len(logs) - 1)])
@@ -120,15 +108,12 @@ def check_growth_condition(density: RadialDensity, schedule: RadiusSchedule,
 
 def log_tau(density: RadialDensity, regime: RegimeClass | str, n: float,
             R: float, k: int) -> float:
-    """log tau_n for the tagged regime (heavy and light variants)."""
+    """log tau_n for the tagged regime; the family sets its volume factor."""
     tag = regime.tag if isinstance(regime, RegimeClass) else regime
     _check_light_usable(density)
     n = float(n)
     log_f = float(density.log_radial_profile(R))
-    if _family_is_light(density):
-        geom = (density.d - 1) * math.log(R) + math.log(float(density.a_function(R)))
-    else:
-        geom = density.d * math.log(R)
+    geom = density.log_shell_volume(R)
     if tag == SPARSE:
         return k * (math.log(n) + log_f) + geom
     if tag == CRITICAL:
@@ -136,16 +121,6 @@ def log_tau(density: RadialDensity, regime: RegimeClass | str, n: float,
     if tag == DENSE:
         return (2 * k - 1) * (math.log(n) + log_f) + geom
     raise BoundaryRegimeError(f"unknown regime tag {tag!r}")
-
-
-def tau(density: RadialDensity, schedule: RadiusSchedule, regime: RegimeClass | str,
-        n: float, k: int) -> float:
-    """FCLT scaling constant tau_n at intensity n."""
-    R = schedule.radius(density, float(n))
-    value = math.exp(log_tau(density, regime, n, R, k))
-    if not value > 0:
-        raise BoundaryRegimeError("tau underflowed to zero")
-    return value
 
 
 def standardize(curves: np.ndarray, tau_n: float) -> np.ndarray:

@@ -14,8 +14,6 @@ from scipy import stats
 
 from rgglab.atlas import build_atlas, named_shape
 from rgglab.counting import (
-    AnnulusSpec,
-    ANNULUS_ABSOLUTE,
     CountRequest,
     count_subgraphs,
     count_subgraphs_exhaustive,
@@ -100,8 +98,7 @@ def test_criterion_01_counting_exactness():
         R = float(rng.uniform(0.0, 2.0))
         ann = None
         if trial % 4 == 0:
-            ann = AnnulusSpec(K=float(rng.uniform(0, 2)),
-                              L=float(rng.uniform(3, 9)), scaling=ANNULUS_ABSOLUTE)
+            ann = (float(rng.uniform(0, 2)), float(rng.uniform(3, 9)))
         clouds += 1
         for mode in ("h", "plus", "minus"):
             req = CountRequest(shape=shape, t_grid=grid, R=R, annulus=ann, mode=mode)
@@ -119,7 +116,7 @@ def test_criterion_02_oracle_closed_form():
     Brownian identity K_2+ within 2% of B_2 * omega_d."""
     c = Checker("2 (oracle closed form)")
     k2 = named_shape(2, "complete")
-    p = OracleParams(d=2, k=2, ell=2, shape=k2, alpha=4.0,
+    p = OracleParams(d=2, ell=2, shape=k2, alpha=4.0,
                      t_grid=np.array([1.0]), n_samples=1_000_000, seed=MASTER_SEED)
     est = covariance_L(p).matrix[0, 0]
     target = math.pi ** 2 / 6
@@ -143,7 +140,7 @@ def test_criterion_03_self_similarity():
         (2, 3, 2, named_shape(3, "path"), 500_000),
     ]
     for d, k, ell, shape, n in cases:
-        p = OracleParams(d=d, k=k, ell=ell, shape=shape, alpha=4.0,
+        p = OracleParams(d=d, ell=ell, shape=shape, alpha=4.0,
                          t_grid=np.array([1.0]), n_samples=n, seed=MASTER_SEED + ell)
         rep = self_similarity_report(p)
         c.check(rep["passed"],
@@ -159,10 +156,10 @@ def test_criterion_04_bridge_identity():
     c = Checker("4 (light/heavy bridge)")
     k2 = named_shape(2, "complete")
     for ell, target in ((2, 3.0), (1, 4 - 2 / 3)):
-        pl = OracleParams(d=2, k=2, ell=ell, shape=k2, alpha=4.0,
+        pl = OracleParams(d=2, ell=ell, shape=k2, alpha=4.0,
                           t_grid=np.array([1.0]), n_samples=1_000_000,
                           seed=MASTER_SEED + 31 * ell)
-        pm = OracleParams(d=2, k=2, ell=ell, shape=k2, alpha=4.0, c=np.inf,
+        pm = OracleParams(d=2, ell=ell, shape=k2, alpha=4.0, c=np.inf,
                           t_grid=np.array([1.0]), n_samples=1_000_000,
                           seed=MASTER_SEED + 31 * ell + 1)
         ratio = covariance_M(pm).matrix[0, 0] / covariance_L(pl).matrix[0, 0]

@@ -13,16 +13,25 @@ import pytest
 from scipy import stats
 
 import rgglab
-from rgglab.atlas import build_atlas
+from rgglab.atlas import build_atlas, named_shape
 from rgglab.cli import _schedule_from_args, build_parser, parse_and_dispatch
 from rgglab.config import ConfigError, parse_config
-from rgglab.counting import CloudFormatError, load_cloud, make_cloud, save_cloud
+from rgglab.counting import (
+    CloudFormatError,
+    CountRequest,
+    count_decomposed,
+    load_cloud,
+    make_cloud,
+    save_cloud,
+)
 from rgglab.densities import (
     CoreSchedule,
     LogBandSchedule,
     PoissonLayerSchedule,
     PowerSchedule,
+    VonMisesDensity,
     WeakCoreSchedule,
+    sample_poisson_cloud,
 )
 
 SMALL_CLT = """
@@ -160,6 +169,7 @@ def test_sample_and_count_roundtrip(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "seed,t,count_h,count_plus,count_minus"
     assert len(lines) == 3
+    assert all(line.startswith("9,") for line in lines[1:])   # the header's seed
 
 
 def test_oracle_subcommand(capsys):
@@ -374,6 +384,7 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         ((*count, "1", "--annulus", "1,nan"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1,-inf"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1"), "[count] --annulus: expected two numbers"),
+        ((*count, "1", "--annulus", "1,2"), "annulus [0.0, 0.0) needs 0 <= lo < hi"),
         ((*count, "1.0,x"), "[count] --t-grid: expected a number, got 'x'"),
         (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",
           "power", "--n-range", "1e2"), "[regime] --n-range: expected two numbers"),
@@ -381,6 +392,23 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"configuration error: {message}" in err, argv
+
+
+def test_count_annulus_in_the_family_units(capsys):
+    """A von Mises ``--annulus K,L`` is the shell [R + K a(R), R + L a(R))."""
+    density = VonMisesDensity(2, 0.5)
+    cloud = sample_poisson_cloud(1000.0, density, np.random.default_rng(4),
+                                 exterior_radius=10.0, seed=4)
+    req = CountRequest(shape=named_shape(2, "complete"), t_grid=np.array([0.5, 1.0, 2.0]),
+                       R=10.0, annulus=density.annulus_bounds(10.0, 0.0, 0.5))
+    expected = np.stack([curve.counts for curve in count_decomposed(cloud, req)], axis=1)
+    assert expected[-1, 0] > 0
+    code, out, _ = run_cli(capsys, "count", "--family", "vonmises", "--d", "2", "--tau", "0.5",
+                           "--n", "1000", "--exterior-radius", "10", "--seed", "4", "--k", "2",
+                           "--t-grid", "0.5,1.0,2.0", "--R", "10", "--annulus", "0,0.5")
+    assert code == 0
+    rows = [line.split(",")[2:] for line in out.strip().splitlines()[1:]]
+    assert np.array_equal(np.array(rows, dtype=np.int64), expected)
 
 
 def test_schedule_flags_follow_config_builder():

@@ -13,10 +13,6 @@ import rgglab
 from rgglab import kernels
 from rgglab.atlas import build_atlas, named_shape
 from rgglab.counting import (
-    ANNULUS_ABSOLUTE,
-    ANNULUS_RADIUS_MULTIPLE,
-    ANNULUS_SHIFTED_BY_A,
-    AnnulusSpec,
     CountRequest,
     CountingCurve,
     InvalidRequestError,
@@ -28,6 +24,7 @@ from rgglab.counting import (
     make_cloud,
     save_cloud,
 )
+from rgglab.densities import VonMisesDensity
 
 
 def random_cloud(rng, n, d, spread=3.0):
@@ -65,8 +62,7 @@ def test_exactness_small(rng):
         R = float(rng.uniform(0, 2.0))
         ann = None
         if trial % 3 == 0:
-            ann = AnnulusSpec(K=float(rng.uniform(0, 2)), L=float(rng.uniform(3, 9)),
-                              scaling=ANNULUS_ABSOLUTE)
+            ann = (float(rng.uniform(0, 2)), float(rng.uniform(3, 9)))
         for mode in ("h", "plus", "minus"):
             req = CountRequest(shape=shape, t_grid=grid, R=R, annulus=ann, mode=mode)
             fast = count_subgraphs(cloud, req).counts
@@ -114,35 +110,39 @@ def test_zero_below_min_gap(rng):
         assert count_subgraphs(cloud, req).counts[0] == 0
 
 
-def test_rotation_invariance(rng, triangle):
+def test_rotation_invariance(rng, triangle, power24):
     pts = rng.normal(size=(40, 2)) * 2 + 5
     theta = 1.234
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     req = CountRequest(shape=triangle, t_grid=np.linspace(0.3, 2.0, 6), R=3.0,
-                       annulus=AnnulusSpec(K=1.0, L=2.5, scaling=ANNULUS_RADIUS_MULTIPLE))
+                       annulus=power24.annulus_bounds(3.0, 1.0, 2.5))
     a = count_subgraphs(make_cloud(pts), req).counts
     b = count_subgraphs(make_cloud(pts @ rot.T), req).counts
     assert np.array_equal(a, b)
 
 
-def test_annulus_interpretations(k2):
+def test_annulus_interpretations(k2, power24):
     # pair at norms (10, 11): heavy annulus keyed to multiples of R
     pts = np.array([[10.0, 0.0], [11.0, 0.0]])
     cloud = make_cloud(pts)
     grid = np.array([1.5])
-    ann = AnnulusSpec(K=1.0, L=1.09, scaling=ANNULUS_RADIUS_MULTIPLE)
-    req = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=ann)
+    req = CountRequest(shape=k2, t_grid=grid, R=10.0,
+                       annulus=power24.annulus_bounds(10.0, 1.0, 1.09))
     assert count_subgraphs(cloud, req).counts[0] == 0   # max norm 11 >= 1.09*10
-    ann2 = AnnulusSpec(K=1.0, L=1.2, scaling=ANNULUS_RADIUS_MULTIPLE)
-    req2 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=ann2)
+    req2 = CountRequest(shape=k2, t_grid=grid, R=10.0,
+                        annulus=power24.annulus_bounds(10.0, 1.0, 1.2))
     assert count_subgraphs(cloud, req2).counts[0] == 1
-    # light scaling: (max - R)/a(R) in [K, L)
-    ann3 = AnnulusSpec(K=0.0, L=0.5, scaling=ANNULUS_SHIFTED_BY_A)
-    req3 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=ann3, a_of_R=4.0)
-    assert count_subgraphs(cloud, req3).counts[0] == 1  # (11-10)/4 = 0.25 in [0, .5)
-    ann4 = AnnulusSpec(K=0.3, L=0.5, scaling=ANNULUS_SHIFTED_BY_A)
-    req4 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=ann4, a_of_R=4.0)
+    # light scaling: (max - R)/a(R) in [K, L), with a(10) = 10^(1 - 0.4) = 3.98
+    vm = VonMisesDensity(2, 0.4)
+    req3 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=vm.annulus_bounds(10.0, 0.0, 0.5))
+    assert count_subgraphs(cloud, req3).counts[0] == 1  # (11-10)/3.98 = 0.25 in [0, .5)
+    req4 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=vm.annulus_bounds(10.0, 0.3, 0.5))
     assert count_subgraphs(cloud, req4).counts[0] == 0
+    # absolute bounds: the max norm 11 is in [10.5, 11.5) but not in [11.5, 12)
+    req5 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=(10.5, 11.5))
+    assert count_subgraphs(cloud, req5).counts[0] == 1
+    req6 = CountRequest(shape=k2, t_grid=grid, R=10.0, annulus=(11.5, 12.0))
+    assert count_subgraphs(cloud, req6).counts[0] == 0
 
 
 def test_invalid_requests(k2):
@@ -152,10 +152,10 @@ def test_invalid_requests(k2):
         CountRequest(shape=k2, t_grid=np.array([]))
     with pytest.raises(InvalidRequestError):
         CountRequest(shape=k2, t_grid=np.array([1.0]), mode="weird")
-    with pytest.raises(InvalidRequestError):
-        AnnulusSpec(K=2.0, L=1.0)
-    with pytest.raises(InvalidRequestError):
-        AnnulusSpec(K=0.5, L=2.0, scaling=ANNULUS_RADIUS_MULTIPLE)
+    for annulus in ((2.0, 1.0), (1.0, 1.0), (-0.5, 2.0), (np.nan, 2.0), (1.0, np.nan),
+                    (0.0, 0.0)):   # (0, 0): multiples of R = 0 hold no point
+        with pytest.raises(InvalidRequestError, match="annulus"):
+            CountRequest(shape=k2, t_grid=np.array([1.0]), annulus=annulus)
     with pytest.raises(ValueError):
         CountingCurve(t_grid=np.array([1.0]), counts=np.array([-1]), mode="h", R=0.0)
 

@@ -212,6 +212,41 @@ def test_a_function(vm21, power24):
         power24.a_function(2.0)
 
 
+def test_annulus_bounds(power24, vm21):
+    # power law: multiples of R
+    assert power24.annulus_bounds(10.0, 1.0, 2.5) == (10.0, 25.0)
+    assert power24.annulus_bounds(4.0, 1.5, math.inf) == (6.0, math.inf)
+    # von Mises: a(R)-scaled shells beyond R, a(16) = 4 at tau = 1/2, a = 1 at tau = 1
+    assert VonMisesDensity(2, 0.5).annulus_bounds(16.0, 0.25, 1.0) == (17.0, 20.0)
+    assert vm21.annulus_bounds(10.0, 0.0, 0.5) == (10.0, 10.5)
+    for density in (power24, vm21):
+        for K, L in ((2.0, 1.0), (1.0, 1.0), (math.nan, 2.0), (1.0, math.nan)):
+            with pytest.raises(InvalidParameterError, match="annulus needs K < L"):
+                density.annulus_bounds(10.0, K, L)
+    with pytest.raises(InvalidParameterError, match="needs 1 <= K"):
+        power24.annulus_bounds(10.0, 0.5, 2.0)
+    assert vm21.annulus_bounds(10.0, 0.0, 2.0) == (10.0, 12.0)   # K = 0 is allowed
+    with pytest.raises(InvalidParameterError, match="needs 0 <= K"):
+        vm21.annulus_bounds(10.0, -0.1, 2.0)
+
+
+def test_log_shell_volume(power24, vm21):
+    assert power24.log_shell_volume(3.0) == 2 * math.log(3.0)
+    assert vm21.log_shell_volume(3.0) == math.log(3.0)      # a = 1
+    vm_half = VonMisesDensity(3, 0.5)
+    assert vm_half.log_shell_volume(4.0) == pytest.approx(math.log(16.0 * 2.0), rel=1e-15)
+
+
+def test_family_decision_lives_in_densities():
+    """Heavy vs light tail is decided by the density classes alone."""
+    import inspect
+
+    from rgglab import counting, harness, limits, regimes
+
+    for module in (counting, harness, limits, regimes):
+        assert ".family" not in inspect.getsource(module), module.__name__
+
+
 def test_c_limit():
     assert VonMisesDensity(2, 0.5).c_limit == math.inf
     assert VonMisesDensity(2, 1.0).c_limit == 1.0

@@ -13,7 +13,6 @@ from rgglab.densities import (
     unit_ball_volume,
 )
 from rgglab.limits import (
-    HEAVY,
     IndefiniteCovarianceError,
     LimitCovariance,
     OracleParams,
@@ -33,9 +32,9 @@ from rgglab.limits import (
 from rgglab.atlas import h_minus, h_plus, h_t, named_shape
 
 
-def params(shape, *, d=2, k=2, ell=2, alpha=4.0, c=None, grid=(1.0,),
+def params(shape, *, d=2, ell=2, alpha=4.0, c=None, grid=(1.0,),
            n=100_000, seed=0, annulus=None):
-    return OracleParams(d=d, k=k, ell=ell, shape=shape, alpha=alpha, c=c,
+    return OracleParams(d=d, ell=ell, shape=shape, alpha=alpha, c=c,
                         t_grid=np.array(grid, dtype=float), n_samples=n,
                         seed=seed, annulus=annulus)
 
@@ -128,22 +127,31 @@ def test_covariance_M_annulus_partition(k2):
 def test_mixture_weights(k2):
     base = params(k2, n=50_000, seed=11)
     # sparse with K=1, L=inf is exactly the ell=k block (weight one)
-    mix = mixture_covariance(HEAVY, "sparse", base)
+    mix = mixture_covariance("sparse", base)
     block = covariance_L(params(k2, n=50_000, seed=11 + 2))  # mixture uses seed+ell
     assert np.array_equal(mix.matrix, block.matrix)
+    assert mix.provenance["formula"] == "mixture_heavy_sparse"
     # sparse with K=1, L=2: weight 1 - 2^{d - alpha k} = 1 - 2^{-6}
-    mix2 = mixture_covariance(HEAVY, "sparse", base, annulus=(1.0, 2.0))
+    mix2 = mixture_covariance("sparse", params(k2, n=50_000, seed=11, annulus=(1.0, 2.0)))
     assert np.allclose(mix2.matrix, (1 - 2.0 ** -6) * block.matrix, rtol=1e-12)
     # critical: xi-weighted sum over ell
-    mix3 = mixture_covariance(HEAVY, "critical", base, xi=1.0)
+    mix3 = mixture_covariance("critical", base, xi=1.0)
     b1 = covariance_L(params(k2, ell=1, n=50_000, seed=11 + 1))
     assert np.allclose(mix3.matrix, block.matrix + b1.matrix, rtol=1e-12)
+    # a set c selects the light family: the annulus restricts the M blocks
+    light = params(k2, c=1.0, n=50_000, seed=11, annulus=(0.0, 0.7))
+    mix4 = mixture_covariance("sparse", light)
+    assert mix4.provenance["formula"] == "mixture_light_sparse"
+    m2 = covariance_M(params(k2, c=1.0, n=50_000, seed=11 + 2, annulus=(0.0, 0.7)))
+    assert np.array_equal(mix4.matrix, m2.matrix)
     with pytest.raises(InvalidParameterError):
-        mixture_covariance(HEAVY, "critical", base)          # missing xi
+        mixture_covariance("critical", base)                  # missing xi
     with pytest.raises(InvalidParameterError):
-        mixture_covariance(HEAVY, "sparse", base, annulus=(0.5, 2.0))
+        mixture_covariance("sparse", params(k2, annulus=(0.5, 2.0)))
     with pytest.raises(InvalidParameterError):
-        mixture_covariance("light", "sparse", base)          # missing c
+        mixture_covariance("sparse", params(k2, c=1.0, annulus=(-0.5, 2.0)))
+    with pytest.raises(InvalidParameterError):
+        mixture_covariance("sparse", params(k2, alpha=None))  # heavy without alpha
 
 
 def test_brownian_identity(k2, triangle):
@@ -157,7 +165,7 @@ def test_brownian_identity(k2, triangle):
     assert rep["predicted"][i2, i1] == pytest.approx(rep["predicted"][i1, i1])
     # h- of a complete shape is identically zero
     rep_minus = brownian_identity_check(
-        params(triangle, k=3, ell=3, grid=(0.5, 1.0), n=20_000, seed=13),
+        params(triangle, ell=3, grid=(0.5, 1.0), n=20_000, seed=13),
         mode="minus")
     assert rep_minus["K_hat"] == 0.0
     assert rep_minus["max_z"] == 0.0 and rep_minus["passed"]
@@ -205,8 +213,7 @@ def test_params_validation(k2, path3):
         params(k2, n=999)          # MC sample floor
     with pytest.raises(InvalidParameterError):
         params(k2, ell=3)          # ell > k
-    with pytest.raises(InvalidParameterError):
-        params(path3)              # shape.k != k
+    assert params(path3).k == 3    # k is the shape's order
     with pytest.raises(InvalidParameterError):
         covariance_M(params(k2, c=None))
     with pytest.raises(InvalidParameterError):
@@ -302,9 +309,9 @@ def _einsum_reference(p: OracleParams, mode: str, light: bool):
 def test_oracle_matches_einsum_reference(path3):
     # 40 000 samples cross the 2^15 chunk boundary; the grid includes t = 0
     grid = (0.0, 0.5, 1.0, 1.5)
-    cases = [(params(path3, k=3, ell=ell, grid=grid, n=40_000, seed=21 + ell), mode, False)
+    cases = [(params(path3, ell=ell, grid=grid, n=40_000, seed=21 + ell), mode, False)
              for ell in (1, 2, 3) for mode in ("h", "plus", "minus")]
-    cases += [(params(path3, k=3, ell=ell, c=1.0, grid=grid, n=40_000, seed=31 + ell,
+    cases += [(params(path3, ell=ell, c=1.0, grid=grid, n=40_000, seed=31 + ell,
                       annulus=annulus), "h", True)
               for ell in (1, 2, 3) for annulus in (None, (0.7, 2.0))]
     for p, mode, light in cases:

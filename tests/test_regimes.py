@@ -23,7 +23,6 @@ from rgglab.regimes import (
     classify_regime,
     log_tau,
     standardize,
-    tau,
 )
 
 
@@ -48,7 +47,7 @@ def test_unclassifiable(power24):
         classify_regime(power24, wiggly, (1e2, 1e5))
 
 
-def test_growth_condition(power24):
+def test_growth_condition(power24, vm21):
     # exponent k(1 - alpha beta) + d beta: beta=0.3 -> +0.2, beta=0.4 -> -0.4
     assert check_growth_condition(power24, PowerSchedule(beta=0.3), 2, (1e2, 1e6)).passed
     assert not check_growth_condition(power24, PowerSchedule(beta=0.4), 2, (1e2, 1e6)).passed
@@ -57,6 +56,10 @@ def test_growth_condition(power24):
     assert not report.passed
     assert abs(report.final_decade_gain) < 1e-6
     assert np.allclose(report.log_products, 0.0, atol=1e-8)
+    # the light-tail product n^k a(R) R^{d-1} f^k is pinned at 1 by its own layer
+    report = check_growth_condition(vm21, PoissonLayerSchedule(k=2), 2, (1e3, 1e7))
+    assert not report.passed
+    assert np.allclose(report.log_products, 0.0, atol=1e-8)
 
 
 def test_tau_formulas(power24, vm21):
@@ -64,18 +67,17 @@ def test_tau_formulas(power24, vm21):
     n = 1e6
     sched = WeakCoreSchedule()
     R = sched.radius(power24, n)
-    assert tau(power24, sched, CRITICAL, n, 2) == pytest.approx(R ** 2, rel=1e-12)
+    assert math.exp(log_tau(power24, CRITICAL, n, R, 2)) == pytest.approx(R ** 2, rel=1e-12)
     # sparse heavy: direct evaluation with the exact f (spec example numbers)
     sp = PowerSchedule(beta=0.3)
     n = 1e5
     R = sp.radius(power24, n)
     expected = n ** 2 * R ** 2 * power24.radial_profile(R) ** 2
-    assert tau(power24, sp, SPARSE, n, 2) == pytest.approx(expected, rel=1e-10)
+    assert math.exp(log_tau(power24, SPARSE, n, R, 2)) == pytest.approx(expected, rel=1e-10)
     # light sparse with tau=1 (a == 1): n^k * 1 * R^{d-1} * (C e^{-R})^k
     R = 14.0
-    sched_t = TableSchedule(entries=((1e5, R),))
     expected = (1e5) ** 2 * R * (vm21.C * math.exp(-R)) ** 2
-    assert tau(vm21, sched_t, SPARSE, 1e5, 2) == pytest.approx(expected, rel=1e-9)
+    assert math.exp(log_tau(vm21, SPARSE, 1e5, R, 2)) == pytest.approx(expected, rel=1e-9)
 
 
 def test_tau_consistency_at_weak_core(power24):
@@ -91,9 +93,8 @@ def test_tau_consistency_at_weak_core(power24):
 
 def test_tau_rejects_superexponential():
     den = VonMisesDensity(2, 1.5)   # a(r) -> 0: outside the CLT scope
-    sched = TableSchedule(entries=((1e5, 5.0),))
     with pytest.raises(BoundaryRegimeError):
-        tau(den, sched, SPARSE, 1e5, 2)
+        log_tau(den, SPARSE, 1e5, 5.0, 2)
 
 
 def test_standardize():
