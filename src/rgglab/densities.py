@@ -449,6 +449,8 @@ class VonMisesDensity(RadialDensity):
             raise InvalidParameterError("annulus needs K < L")
         if K < 0:
             raise InvalidParameterError("annulus needs 0 <= K")
+        if not R > 0:    # a(R) = R^(1 - tau) has no shell width at R <= 0
+            raise InvalidParameterError(f"a(R)-scaled annulus needs R > 0, got R = {R}")
         a_R = float(self.a_function(R))
         return R + K * a_R, R + L * a_R
 

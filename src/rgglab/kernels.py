@@ -5,8 +5,9 @@ There is one path per kernel, built on numpy and ``scipy.spatial``.  The
 adjacency comes from a k-d tree pair search (``cKDTree.query_pairs``) and
 keeps a pair iff ``sqrt(d2) <= radius``, the rule the curve classifier and
 the exhaustive oracle use, so pairs at exactly the radius are never lost.
-Classifying the enumerated subsets is ``Atlas.indicators``' job; the
-counts summed from it do not depend on enumeration order.
+Connected k-subsets come from the CSR edge list for k = 2, the wedge list
+for k = 3 and ESU for k >= 4.  Classifying them is ``Atlas.indicators``'
+job; the counts summed from it do not depend on enumeration order.
 ``python3 perfbench/run.py`` times these kernels in context.
 """
 
@@ -76,6 +77,32 @@ def _esu_candidates(indptr, indices, k, n):
                 stack.append((sub + (w,), ext + new, marked.union(neighbors[w])))
 
 
+def _wedge_candidates(indptr, indices, n):
+    """(M, 3) array: every connected 3-subset once, as a wedge (v, u, w).
+
+    A connected triple is a center v with two neighbours u < w.  A path has
+    one such center; a triangle has three, and only the one at its smallest
+    vertex (v < u) is kept.
+    """
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    pos = np.arange(indices.size)
+    # entry pos pairs with the ``later`` entries after it in its row: its
+    # group of pairs starts at ``starts[pos]``, and the group's r-th pair
+    # takes entry pos + 1 + r as ``second``
+    later = indptr[1:][row] - 1 - pos
+    starts = np.cumsum(later) - later
+    first = np.repeat(pos, later)
+    second = np.arange(first.size) + np.repeat(pos + 1 - starts, later)
+    v, u, w = row[first], indices[first], indices[second]
+    # the flat keys row * n + column are sorted, so one search finds edge
+    # (u, w); the sentinel n * n lies past every query
+    keys = np.append(row * n + indices, n * n)
+    query = u * n + w
+    adjacent = keys[np.searchsorted(keys, query)] == query
+    keep = ~adjacent | (v < u)
+    return np.stack([v[keep], u[keep], w[keep]], axis=1)
+
+
 def accumulate_curves(points, norms, indptr, indices, t_grid, ann_lo, ann_hi,
                       atlas, shape):
     """(h, minus) per candidate: two (M, T) bool arrays, one row per
@@ -87,6 +114,8 @@ def accumulate_curves(points, norms, indptr, indices, t_grid, ann_lo, ann_hi,
         src = np.repeat(np.arange(n), np.diff(indptr))
         keep = src < indices
         subs = np.stack([src[keep], indices[keep]], axis=1)
+    elif k == 3:
+        subs = _wedge_candidates(indptr, indices, n)
     else:
         flat = itertools.chain.from_iterable(_esu_candidates(indptr, indices, k, n))
         subs = np.fromiter(flat, dtype=np.int64).reshape(-1, k)

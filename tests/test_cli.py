@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,12 @@ def test_oracle_annulus_flags_restrict_or_are_refused(capsys):
         code, out, err = run_cli(capsys, "oracle", "--kind", kind, *heavy)
         assert code == 2 and out == "", kind
         assert "configuration error: annulus restriction" in err
+    # a heavy mixture's missing --K is the family's start, K = 1 (a multiple of R)
+    mixture = ("oracle", "--kind", "mixture", "--d", "2", "--k", "2", "--ell", "1",
+               "--alpha", "4", "--L", "2", "--regime", "sparse", "--t-grid", "0.5,1")
+    code, out, err = run_cli(capsys, *mixture)
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, *mixture, "--K", "1")[1]
 
 
 def test_bad_input_is_a_typed_error_exit_2(capsys):
@@ -385,13 +392,18 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         ((*count, "1", "--annulus", "1,-inf"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1"), "[count] --annulus: expected two numbers"),
         ((*count, "1", "--annulus", "1,2"), "annulus [0.0, 0.0) needs 0 <= lo < hi"),
+        (("count", "--family", "vonmises", "--tau", "1.5", "--d", "2", "--n", "200", "--k", "2",
+          "--t-grid", "1", "--annulus", "0,1"), "a(R)-scaled annulus needs R > 0, got R = 0.0"),
         ((*count, "1.0,x"), "[count] --t-grid: expected a number, got 'x'"),
         (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",
           "power", "--n-range", "1e2"), "[regime] --n-range: expected two numbers"),
     ):
-        code, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # a numpy warning is not a typed error
+            code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
-        assert f"configuration error: {message}" in err, argv
+        assert err.startswith("configuration error: ") and err.count("\n") == 1, argv
+        assert message in err, argv
 
 
 def test_count_annulus_in_the_family_units(capsys):

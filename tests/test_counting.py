@@ -193,6 +193,47 @@ def test_build_adjacency_matches_brute_force(rng):
     assert list(indptr) == [0, 2, 4, 6] and list(indices) == [1, 2, 0, 2, 0, 1]
 
 
+def _lattice(kind, side):
+    """side x side square or triangular lattice with unit spacing."""
+    i, j = (a.ravel().astype(float) for a in np.meshgrid(np.arange(side), np.arange(side)))
+    if kind == "square":
+        return np.stack([i, j], axis=1)
+    return np.stack([i + 0.5 * j, (np.sqrt(3) / 2) * j], axis=1)
+
+
+def test_wedge_list_matches_esu(rng, path3, triangle):
+    clouds = [(random_cloud(rng, n, 2), 2.0) for n in (0, 1, 2)]
+    clouds.append((make_cloud(np.arange(12.0)[:, None] * 2.0), 1.5))    # edgeless
+    for _ in range(30):
+        d, n = int(rng.integers(1, 4)), int(rng.integers(3, 41))
+        clouds.append((random_cloud(rng, n, d), float(rng.uniform(0.05, 3.5))))
+    # lattices whose pairs and triangles sit at exactly t_max (on the
+    # triangular one, others round to an ulp either side of 1)
+    lattices = [("square", 1.0), ("square", np.sqrt(2.0)), ("triangular", 1.0)]
+    for kind, t_max in lattices:
+        pts = _lattice(kind, 6)
+        diff = pts[:, None] - pts[None]
+        assert np.any(np.sqrt((diff * diff).sum(axis=2)) == t_max), kind
+        clouds.append((make_cloud(pts), t_max))
+    met = {path3: 0, triangle: 0}
+    for cloud, t_max in clouds:
+        n = len(cloud)
+        indptr, indices = kernels.build_adjacency(cloud.points, t_max)
+        wedges = kernels._wedge_candidates(indptr, indices, n)
+        esu = {tuple(sorted(s)) for s in kernels._esu_candidates(indptr, indices, 3, n)}
+        assert wedges.shape == (len(esu), 3), (n, t_max)    # each triple once
+        assert {tuple(sorted(s)) for s in wedges.tolist()} == esu, (n, t_max)
+        grid = np.array([0.5 * t_max, np.nextafter(t_max, 0.0), t_max])
+        for shape in (path3, triangle):
+            for mode in ("h", "minus"):
+                req = CountRequest(shape=shape, t_grid=grid, mode=mode)
+                fast = count_subgraphs(cloud, req).counts
+                assert np.array_equal(fast, count_subgraphs_exhaustive(cloud, req).counts)
+                if mode == "h":
+                    met[shape] += int(fast[-1])
+    assert all(met.values()), met
+
+
 def _exact_radius_pairs(t, count):
     """Offsets (t cos theta, t sin theta) that lie within t of the origin
     under sqrt(d2) <= t although d2 exceeds the rounded t * t."""

@@ -228,6 +228,10 @@ def test_annulus_bounds(power24, vm21):
     assert vm21.annulus_bounds(10.0, 0.0, 2.0) == (10.0, 12.0)   # K = 0 is allowed
     with pytest.raises(InvalidParameterError, match="needs 0 <= K"):
         vm21.annulus_bounds(10.0, -0.1, 2.0)
+    # a(R) = R^(1 - tau) has no shell width at R <= 0 (at tau > 1 it divides by zero)
+    for R in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="needs R > 0"):
+            VonMisesDensity(2, 1.5).annulus_bounds(R, 0.0, 1.0)
 
 
 def test_log_shell_volume(power24, vm21):
