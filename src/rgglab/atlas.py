@@ -27,8 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_ORDER = 7          # largest supported vertex count
-# configurations classified per vectorized batch (bounds the (P, m) distances
-# and the (m, T) masks)
+# configurations classified per vectorized batch (bounds the (m, T) temporaries)
 _INDICATOR_CHUNK = 1 << 14
 # entries of one float64 (masks, k!) product in ``_relabelings``
 _CANON_PRODUCT_ENTRIES = 1 << 19
@@ -96,23 +95,6 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
 
 def canonical_mask(mask: int, k: int) -> int:
     return int(canonical_masks(np.array([mask]), k)[0])
-
-
-def _edge_masks(dists: np.ndarray, t_grid) -> np.ndarray:
-    """(m, T) edge bitmasks from (P, m) pair distances: bit p of column g
-    is ``dists[p] <= t_grid[g]``."""
-    P, m = dists.shape
-    mask_dtype = np.int16 if P < 16 else np.int32    # masks < 2**P
-    masks = np.zeros((m, len(t_grid)), dtype=mask_dtype)
-    within = np.empty(m, dtype=bool)
-    bit = np.empty(m, dtype=mask_dtype)
-    for p in range(P):
-        weight = mask_dtype(1 << p)
-        for g, t in enumerate(t_grid):
-            np.less_equal(dists[p], t, out=within)
-            np.multiply(within, weight, out=bit)
-            masks[:, g] += bit
-    return masks
 
 
 def _edges_of_mask(mask: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -187,11 +169,6 @@ class Atlas:
         ``t_grid[g]`` (closed ball: an edge iff ``sqrt(d2) <= t``) is
         isomorphic to ``shape``; ``minus[m, g]`` iff it is connected with more
         edges than ``shape``.
-
-        The graph at every grid radius is a subgraph of the graph at
-        ``t_top = max(t_grid)``, so a configuration disconnected at ``t_top``
-        is 0 in every column; only the rows connected there are classified
-        over the whole grid.
         """
         configs = np.asarray(configs, dtype=np.float64)
         t_grid = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
@@ -200,9 +177,7 @@ class Atlas:
         M, d, T = configs.shape[0], configs.shape[2], t_grid.size
         # pairs in lexicographic order, so pair p sets bit p
         pairs = list(zip(*np.triu_indices(self.k, 1)))
-        # a NaN radius holds no edge, so it cannot raise the top; an empty or
-        # all-NaN grid gives -inf, where every row is disconnected
-        t_top = np.fmax.reduce(t_grid, initial=-np.inf)
+        mask_dtype = np.int16 if len(pairs) < 16 else np.int32    # masks < 2**P
         cid = self.shape_index(shape)
         # classes are sorted by edge count, so "connected with more edges than
         # the shape" is every class index from the first denser class on
@@ -212,26 +187,26 @@ class Atlas:
         for lo in range(0, M, _INDICATOR_CHUNK):
             batch = configs[lo:lo + _INDICATOR_CHUNK]
             m = len(batch)
-            dists = np.empty((len(pairs), m))
+            masks = np.zeros((m, T), dtype=mask_dtype)
+            within = np.empty(m, dtype=bool)
+            bit = np.empty(m, dtype=mask_dtype)
             for p, (i, j) in enumerate(pairs):
                 if d >= 8:    # numpy's pairwise sum reorders the additions
                     diff = batch[:, i] - batch[:, j]
-                    np.sqrt((diff * diff).sum(axis=1), out=dists[p])
+                    dist = np.sqrt((diff * diff).sum(axis=1))
                 else:         # fewer than 8 terms are added in order
                     diff = batch[:, i, 0] - batch[:, j, 0]
                     dist = diff * diff
                     for c in range(1, d):
                         diff = batch[:, i, c] - batch[:, j, c]
                         dist += diff * diff
-                    np.sqrt(dist, out=dists[p])
-            connected = self._class_indices(_edge_masks(dists, [t_top]))[:, 0] >= 0
-            if connected.all():    # the engine's candidates: no row gather
-                cls = self._class_indices(_edge_masks(dists, t_grid))
-            else:
-                # rows disconnected at t_top read -1 (disconnected) everywhere
-                cls = np.full((m, T), -1, dtype=self._class_table.dtype)
-                rows = np.flatnonzero(connected)
-                cls[rows] = self._class_indices(_edge_masks(dists.take(rows, axis=1), t_grid))
+                    np.sqrt(dist, out=dist)
+                weight = mask_dtype(1 << p)
+                for g, t in enumerate(t_grid):
+                    np.less_equal(dist, t, out=within)
+                    np.multiply(within, weight, out=bit)
+                    masks[:, g] += bit
+            cls = self._class_indices(masks)
             h[lo:lo + m] = cls == cid
             minus[lo:lo + m] = cls >= first_denser
         return h, minus

@@ -194,10 +194,7 @@ def _cmd_oracle(args) -> int:
     t_grid = np.array(_float_list("oracle", "--t-grid", args.t_grid))
     annulus = None
     if args.K is not None or args.L is not None:
-        # an annulus starts at R: K = 1 in heavy multiples of R, K = 0 in light a(R)-shells
-        start = 1.0 if args.c is None else 0.0
-        annulus = (args.K if args.K is not None else start,
-                   args.L if args.L is not None else math.inf)
+        annulus = (args.K, args.L)    # OracleParams fills a missing bound
     params = OracleParams(d=args.d, ell=args.ell, shape=shape,
                           alpha=args.alpha, c=args.c, t_grid=t_grid, annulus=annulus,
                           n_samples=args.samples, seed=args.seed)

@@ -68,11 +68,19 @@ def _check_ell(k: int, ell: int) -> None:
         raise InvalidParameterError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
 
 
+def _annulus_start(c: float | None) -> float:
+    """Where an annulus starts when no lower bound is given: at R, which is
+    K = 0 in the light family's a(R)-scaled shells (``c`` set) and K = 1 in
+    the heavy family's multiples of R."""
+    return 0.0 if c is not None else 1.0
+
+
 @dataclass(frozen=True)
 class OracleParams:
     """Oracle inputs.  ``mixture_covariance`` takes a set ``c`` for the light
     family and an unset one for the heavy family; ``annulus`` is in that
-    family's units (multiples of R, or a(R)-scaled shells beyond R)."""
+    family's units (multiples of R, or a(R)-scaled shells beyond R).  A
+    ``None`` bound is the family's start below and infinity above."""
 
     d: int
     ell: int
@@ -80,7 +88,7 @@ class OracleParams:
     t_grid: np.ndarray
     alpha: float | None = None      # heavy-tail exponent
     c: float | None = None          # light-tail a-limit, np.inf for subexponential
-    annulus: tuple[float, float] | None = None
+    annulus: tuple[float | None, float | None] | None = None
     n_samples: int = 200_000
     seed: int = 0
 
@@ -100,8 +108,11 @@ class OracleParams:
             raise InvalidParameterError(f"need at least {_MIN_SAMPLES} MC samples")
         if self.annulus is not None:
             K, L = self.annulus
+            K = _annulus_start(self.c) if K is None else K
+            L = math.inf if L is None else L
             if not K < L:
                 raise InvalidParameterError("annulus needs K < L")
+            object.__setattr__(self, "annulus", (K, L))
 
 
 @dataclass
@@ -326,7 +337,7 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
     else:
         if params.alpha is None:
             raise InvalidParameterError("heavy mixture needs alpha")
-        K, L = annulus if annulus is not None else (1.0, math.inf)
+        K, L = annulus if annulus is not None else (_annulus_start(None), math.inf)
         if not 1 <= K < L:
             raise InvalidParameterError("heavy annulus needs 1 <= K < L")
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from rgglab.atlas import (
-    _INDICATOR_CHUNK,
     UnsupportedOrderError,
     build_atlas,
     canonical_mask,
@@ -247,8 +246,8 @@ def test_canonical_masks_match_scalar_reference(k):
     assert got.tolist() == [_scalar_canonical(int(m), k) for m in masks]
 
 
-def _classes_by_norm_sum(atlas, configs, grid):
-    """(M, T) class indices written out: np.sqrt of the summed squared
+def _indicators_by_norm_sum(atlas, configs, grid, shape):
+    """The (h, minus) rule written out: np.sqrt of the summed squared
     differences of every pair at once, int64 masks, one class lookup."""
     iu = np.triu_indices(atlas.k, 1)
     diff = configs[:, iu[0]] - configs[:, iu[1]]
@@ -256,17 +255,9 @@ def _classes_by_norm_sum(atlas, configs, grid):
     masks = np.zeros((len(configs), grid.size), dtype=np.int64)
     for p in range(len(iu[0])):
         masks += (dists[:, p, None] <= grid).astype(np.int64) << p
-    return atlas._class_indices(masks)
-
-
-def _shape_indicators(atlas, cls, shape):
-    """The (h, minus) rule on class indices."""
+    cls = atlas._class_indices(masks)
     denser = [i for i, c in enumerate(atlas.classes) if c.edge_count > shape.edge_count]
     return cls == atlas.shape_index(shape), np.isin(cls, denser)
-
-
-def _indicators_by_norm_sum(atlas, configs, grid, shape):
-    return _shape_indicators(atlas, _classes_by_norm_sum(atlas, configs, grid), shape)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
@@ -294,42 +285,6 @@ def test_indicators_match_norm_sum_rule(d):
             assert h.dtype == bool and h.flags.c_contiguous
             if name == "path":    # met and exceeded somewhere
                 assert h.any() and (minus.any() or k == 2), (k, d)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
-def test_indicators_gated_at_top_radius_match_norm_sum_rule(d):
-    # oracle-like draws, mostly disconnected at max(t_grid), over an unsorted
-    # grid whose maximum is not last; a configuration disconnected there is
-    # 0 everywhere, so only the connected rows are classified
-    rng = np.random.default_rng(200 + d)
-    t_top = 2.5
-    grid = np.array([1.5, t_top, 0.6, np.nextafter(t_top, 0.0), 2.0])
-    for k in range(2, 8):
-        atlas = build_atlas(k)
-        # one whole chunk with no connected row: points 3 t_top apart
-        apart = 0.1 * rng.random((_INDICATOR_CHUNK, k, d))
-        apart[:, :, 0] += 3 * t_top * np.arange(k)
-        # point 0 at the origin, the others uniform in B(0, k t_top)
-        ball = rng.normal(size=(_INDICATOR_CHUNK // 2, k, d))
-        ball /= np.linalg.norm(ball, axis=2, keepdims=True)
-        ball *= k * t_top * rng.random((len(ball), k, 1)) ** (1 / d)
-        ball[:, 0] = 0.0
-        # chains with every link at exactly t_top, along each axis
-        chains = np.zeros((d, k, d))
-        for c in range(d):
-            chains[c, :, c] = t_top * np.arange(k)
-        configs = np.concatenate([apart, ball, chains, ball])    # crosses two chunk boundaries
-        cls = _classes_by_norm_sum(atlas, configs, grid)
-        connected = (cls >= 0).any(axis=1)
-        assert not connected[:_INDICATOR_CHUNK].any()
-        assert connected.any() and not connected[_INDICATOR_CHUNK:].all(), k
-        top = int(np.argmax(grid))
-        assert np.all(cls[_INDICATOR_CHUNK + len(ball):][:d, top] >= 0)    # the chains
-        for name in ("path", "star", "complete"):
-            shape = named_shape(k, name)
-            h, minus = atlas.indicators(configs, grid, shape)
-            h_ref, minus_ref = _shape_indicators(atlas, cls, shape)
-            assert np.array_equal(h, h_ref) and np.array_equal(minus, minus_ref), (k, d, name)
 
 
 @pytest.mark.parametrize("d", [8, 9])

@@ -402,8 +402,8 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
             warnings.simplefilter("error")    # a numpy warning is not a typed error
             code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
+        assert f"configuration error: {message}" in err, argv
         assert err.startswith("configuration error: ") and err.count("\n") == 1, argv
-        assert message in err, argv
 
 
 def test_count_annulus_in_the_family_units(capsys):
