@@ -17,7 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
+# numpy loads its random module on first use; load it with rgglab, so that
+# start-up and not the first draw pays for it
+import numpy.random  # noqa: F401
+
+from ._numerics import brentq, cumulative_simpson, gamma, pchip_coefficients, quad
 
 
 class InvalidParameterError(ValueError):
@@ -34,10 +38,10 @@ class UnsupportedOperationError(RuntimeError):
 
 def sphere_surface_area(d: int) -> float:
     """Surface area s_{d-1} of the unit sphere in R^d (s_0 = 2)."""
-    return 2 * math.pi ** (d / 2) / special.gamma(d / 2)
+    return 2 * math.pi ** (d / 2) / gamma(d / 2)
 
 def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2) / special.gamma(d / 2 + 1)
+    return math.pi ** (d / 2) / gamma(d / 2 + 1)
 
 
 _TABLE_SIZE = 4096
@@ -54,13 +58,13 @@ _CHUNK = 4096                # rows per cache-sized pass over a full cloud
 class _InverseCdf:
     """Monotone tabulated inverse of a CDF given on an r-grid.
 
-    scipy's ``PchipInterpolator`` builds the cubic coefficients; calls
-    evaluate them here with the same arithmetic as scipy's
-    ``PPoly(extrapolate=False)`` on ``min(u, max_cdf)``, bit for bit, one
-    cache-sized chunk at a time.  Two packed tables serve a chunk with one
-    row gather each: a bucket table over [0, max_cdf] finds each u's
-    interval without a full binary search, and an interval table holds the
-    interval's left end and its cubic.  Both are built in ``__post_init__``
+    ``pchip_coefficients`` (scipy's ``PchipInterpolator``, ported) builds
+    the cubic coefficients; calls evaluate them here with the same
+    arithmetic as scipy's ``PPoly(extrapolate=False)`` on
+    ``min(u, max_cdf)``, bit for bit, one cache-sized chunk at a time.  Two
+    packed tables serve a chunk with one row gather each: a bucket table
+    over [0, max_cdf] finds each u's interval without a full binary search,
+    and an interval table holds the interval's left end and its cubic.  Both are built in ``__post_init__``
     and never written afterwards: exterior tables are shared by worker
     threads.
     """
@@ -73,7 +77,7 @@ class _InverseCdf:
         cdf, idx = np.unique(self.cdf, return_index=True)
         if cdf[0] < 0:
             raise ValueError("CDF values must be nonnegative")
-        c = interpolate.PchipInterpolator(cdf, self.r[idx], extrapolate=False).c
+        c = pchip_coefficients(cdf, self.r[idx])
         self.max_cdf = float(cdf[-1])
         self._x = cdf
         # scipy evaluates (0 + c3) + c2*s + c1*(s*s) + c0*((s*s)*s) on the
@@ -205,8 +209,7 @@ class RadialDensity:
     def _normalize(self) -> float:
         """Normalizing constant by radial quadrature: C^-1 = s_{d-1} int r^{d-1} g."""
         s = sphere_surface_area(self.d)
-        val, _ = integrate.quad(lambda r: r ** (self.d - 1) * float(self._g(r)),
-                                0, np.inf, limit=400)
+        val, _ = quad(lambda r: r ** (self.d - 1) * float(self._g(r)), 0, np.inf, limit=400)
         if not np.isfinite(val) or val <= 0:
             raise InvalidParameterError("density does not normalize")
         return 1.0 / (s * val)
@@ -224,15 +227,19 @@ class RadialDensity:
         logg_R = float(self._log_g(R))
 
         def w(v):
-            return ((R + v) / R) ** (self.d - 1) * np.exp(self._log_g(R + v) - logg_R)
+            # one call per rule on all its nodes; the Jacobian is a float
+            # power per node, as scalar calls had it, since numpy's vector
+            # power can differ from it in the last bit
+            jac = [((R + x) / R) ** (self.d - 1) for x in v.tolist()]
+            return np.multiply(jac, np.exp(self._log_g(R + v) - logg_R))
 
         # piecewise quadrature over log-spaced segments: the integrand can
         # spread its mass across many decades for slowly decaying tails
         hi = self._delta_hi(R)
         cuts = np.concatenate([[0.0], np.geomspace(hi * 1e-14, hi, 64)])
         total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            seg, _ = integrate.quad(w, a, b, limit=100)
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            seg, _ = quad(w, a, b, limit=100, vectorized=True)
             total += seg
         if len(self._tail_integral_cache) > _TAIL_CACHE_SIZE:
             self._tail_integral_cache.clear()
@@ -267,7 +274,7 @@ class RadialDensity:
             lo = min(self._scale(), hi) * 1e-9   # anchor to the density scale
             grid = np.concatenate([[0.0], np.geomspace(lo, hi, _TABLE_SIZE)])
             pdf = sphere_surface_area(self.d) * self.C * grid ** (self.d - 1) * self._g(grid)
-            cdf = integrate.cumulative_simpson(pdf, x=grid, initial=0.0)
+            cdf = cumulative_simpson(pdf, grid)
             cdf[-1] = 1.0 - self.tail_prob(hi)
             self._full_inverse = _InverseCdf(r=grid, cdf=np.clip(cdf, 0.0, 1.0))
         return self._full_inverse
@@ -310,7 +317,7 @@ class RadialDensity:
         lo = min(total, hi) * 1e-9
         grid = np.concatenate([[0.0], np.geomspace(lo, hi, _TABLE_SIZE)])
         vals = w(grid)
-        cdf = integrate.cumulative_simpson(vals, x=grid, initial=0.0)
+        cdf = cumulative_simpson(vals, grid)
         inv = _InverseCdf(r=grid, cdf=np.clip(cdf / total, 0.0, 1.0))
         if len(self._exterior_cache) > 32:
             self._exterior_cache.clear()
@@ -471,7 +478,7 @@ def _solve_increasing(fn, lo: float, hi_start: float, what: str) -> float:
         hi *= 2
     else:
         raise ScheduleUndefinedError(f"{what}: no sign change found")
-    return float(optimize.brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300))
+    return brentq(fn, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
 
 
 def weak_core_radius(density: RadialDensity, n: float) -> float:

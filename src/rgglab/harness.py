@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import kernels
 from .atlas import GraphShape, build_atlas
@@ -382,7 +381,11 @@ def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _poisson_pmf(k, mu) -> np.ndarray:
     """Poisson(mu) pmf at the integers k >= 0 with ``scipy.stats.poisson.pmf``'s
-    arithmetic, without importing ``scipy.stats`` (mu = 0 gives 1 at 0)."""
+    arithmetic, without importing ``scipy.stats`` (mu = 0 gives 1 at 0).
+
+    Only the Poisson-layer fit needs ``scipy.special``, so only it loads it."""
+    from scipy import special
+
     k = np.asarray(k)
     return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu), 0, 1)
 
@@ -391,6 +394,8 @@ def _chi2_sf(x: float, dof: int) -> np.float64:
     """Chi-square survival function P(X > x) as ``scipy.stats.chi2.sf``; 1 for x <= 0."""
     if x <= 0:
         return np.float64(1.0)
+    from scipy import special
+
     return special.chdtrc(dof, x)
 
 

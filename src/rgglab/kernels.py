@@ -1,10 +1,11 @@
 """Hot numeric kernels: fixed-radius adjacency, connected k-subset
 enumeration, and cube-occupancy coverage.
 
-There is one path per kernel, built on numpy and ``scipy.spatial``.  The
-adjacency comes from a k-d tree pair search (``cKDTree.query_pairs``) and
-keeps a pair iff ``sqrt(d2) <= radius``, the rule the curve classifier and
-the exhaustive oracle use, so pairs at exactly the radius are never lost.
+There is one path per kernel, built on numpy alone.  The adjacency comes
+from a cell list (cells slightly wider than the radius, sorted by flat
+cell key) and keeps a pair iff ``sqrt(d2) <= radius``, the rule the curve
+classifier and the exhaustive oracle use, so pairs at exactly the radius
+are never lost.
 Connected k-subsets come from the CSR edge list for k = 2, the wedge list
 for k = 3 and ESU for k >= 4.  Classifying them is ``Atlas.indicators``'
 job; the counts summed from it do not depend on enumeration order.
@@ -14,19 +15,22 @@ job; the counts summed from it do not depend on enumeration order.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .densities import _CHUNK
 
-# query slightly beyond the radius so the tree's own rounding cannot drop a
-# pair at exactly ``radius``; the exact keep rule then decides
+# cells are wider than the radius by this relative slack, so that a pair at
+# exactly ``radius`` cannot land two cells apart; the exact keep rule then
+# decides
 _QUERY_SLACK = 1e-9
+# candidate pairs held at once, so that memory stays bounded on dense cells
+_PAIR_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# adjacency at a fixed radius (k-d tree pair search)
+# adjacency at a fixed radius (cell list)
 # ---------------------------------------------------------------------------
 
 def build_adjacency(points: np.ndarray, radius: float):
@@ -34,15 +38,72 @@ def build_adjacency(points: np.ndarray, radius: float):
 
     Pair {p, q} is an edge iff ``sqrt(|p - q|^2) <= radius``; each row lists
     its neighbours in ascending order.
+
+    The candidates come from a cell list over the first ``g = min(d, 3)``
+    coordinates (a pair within the radius is within it in each coordinate).
+    The points are sorted once by flat cell key.  The neighbour cells ahead
+    of a cell in key order form runs along the last axis: its own cell and
+    the next, then three cells for each forward step of the other axes.
+    Each run is one key range, so one ``searchsorted`` per side finds every
+    point's candidates: the later points of its own cell and all points of
+    the other cells in its runs.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    n = points.shape[0]
+    n, d = points.shape
     if n == 0 or radius <= 0:
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pairs = cKDTree(points).query_pairs(radius * (1.0 + _QUERY_SLACK), output_type="ndarray")
-    diff = points[pairs[:, 0]] - points[pairs[:, 1]]
-    pairs = pairs[np.sqrt((diff * diff).sum(axis=1)) <= radius].astype(np.int64, copy=False)
-    p, q = pairs[:, 0], pairs[:, 1]
+    g = min(d, 3)
+    grid = points[:, :g]
+    lo = grid.min(axis=0)
+    extent = float((grid.max(axis=0) - lo).max())
+    # beyond the slack, the cell side also absorbs the rounding of
+    # (x - lo) / side (below 2^-51 extent), and it widens when the cells
+    # would be too many for an int64 key
+    side = max(radius * (1.0 + _QUERY_SLACK) + extent * 2.0 ** -48,
+               extent / 2.0 ** (62 // g - 1))
+    # an empty cell on each side of every axis keeps the runs from wrapping
+    # into other cells and makes every step's key distinct
+    cell = np.floor((grid - lo) / side).astype(np.int64) + 1
+    dims = (cell.max(axis=0) + 2).tolist()
+    strides = [math.prod(dims[j + 1:]) for j in range(g)]
+    keys = cell @ np.array(strides, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    steps = (sum(o * s for o, s in zip(off, strides))
+             for off in itertools.product((-1, 0, 1), repeat=g - 1))
+    ahead = np.array(sorted(s for s in steps if s > 0), dtype=np.int64)
+    runs = np.concatenate([[0], ahead])
+    stop = np.searchsorted(keys, (runs + 1)[:, None] + keys, side="right")
+    start = np.empty_like(stop)
+    start[0] = np.arange(1, n + 1)                # own cell: later points only
+    start[1:] = np.searchsorted(keys, (ahead - 1)[:, None] + keys, side="left")
+    counts, start = (stop - start).T, start.T      # (n, runs)
+    per_row = counts.sum(axis=1)
+    ends = np.cumsum(per_row)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK), side="right")
+    bounds = [0, *cuts.tolist(), n]          # a repeated bound is an empty chunk
+    # coordinates in cell order, one column at a time below 8 columns, where
+    # the in-order sum of squares equals numpy's row sum
+    sorted_pts = points[order]
+    cols = [np.ascontiguousarray(sorted_pts[:, j]) for j in range(d)] if d < 8 else None
+    p_parts, q_parts = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        c = counts[a:b].ravel()
+        first = np.repeat(np.arange(a, b), per_row[a:b])
+        second = np.arange(first.size) + np.repeat(start[a:b].ravel() - (np.cumsum(c) - c), c)
+        if cols is None:
+            diff = sorted_pts[first] - sorted_pts[second]
+            d2 = (diff * diff).sum(axis=1)
+        else:
+            diff = cols[0][first] - cols[0][second]
+            d2 = diff * diff
+            for col in cols[1:]:
+                diff = col[first] - col[second]
+                d2 += diff * diff
+        keep = np.sqrt(d2) <= radius
+        p_parts.append(order[first[keep]])
+        q_parts.append(order[second[keep]])
+    p, q = np.concatenate(p_parts), np.concatenate(q_parts)
     # both directions of every edge as the flat key row * n + column: sorting
     # the keys lays the rows out in order, each with its neighbours ascending
     keys = np.sort(np.concatenate([p * n + q, q * n + p]))

@@ -83,6 +83,29 @@ master_seed = 1
 t_ref = 1.0
 """
 
+SMALL_CORE = """
+[density]
+family = power
+d = 2
+alpha = 4.0
+
+[schedule]
+kind = core
+delta1 = 0.125
+delta2 = 0.5
+
+[shape]
+k = 2
+name = complete
+
+[experiment]
+kind = core
+t_grid = 1.0
+n_ladder = 1e4
+replications = 4
+master_seed = 1
+"""
+
 
 def _child_env() -> dict:
     """The environment of a child that imports the same rgglab as this process."""
@@ -329,6 +352,47 @@ def test_experiments_never_import_scipy_stats(tmp_path):
     assert int(summary["dof"]) >= 1
     assert float(summary["p_value"]) == stats.chi2.sf(float(summary["chi2"]),
                                                       int(summary["dof"]))
+
+
+def test_commands_never_import_scipy(tmp_path):
+    """A CLT and a core experiment, then ``atlas``, ``radii``, ``count`` and
+    ``oracle``, run in one fresh interpreter without loading any scipy
+    module; a Poisson-layer fit run after them loads ``scipy.special`` only."""
+    (tmp_path / "clt.ini").write_text(SMALL_CLT)
+    (tmp_path / "core.ini").write_text(SMALL_CORE)
+    (tmp_path / "layer.ini").write_text(SMALL_POISSON_LAYER)
+    runs = [
+        ["experiment", "--config", "clt.ini", "--out", "clt"],
+        ["experiment", "--config", "core.ini", "--out", "core"],
+        ["atlas", "--k", "3"],
+        ["radii", "--family", "power", "--d", "2", "--alpha", "4", "--n", "1e5"],
+        ["count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "1e4",
+         "--exterior-radius", "5", "--seed", "2", "--k", "2", "--t-grid", "0.5,1.0", "--R", "5"],
+        ["oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2", "--alpha", "4",
+         "--t-grid", "1.0", "--samples", "20000", "--seed", "1"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from rgglab.cli import parse_and_dispatch\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"codes = [parse_and_dispatch(argv) for argv in {runs!r}]\n"
+        "before = loaded()\n"
+        "codes.append(parse_and_dispatch(['experiment', '--config', 'layer.ini',"
+        " '--out', 'layer']))\n"
+        "print(json.dumps([codes, before, loaded()]))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                           capture_output=True, text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    codes, before, after = json.loads(child.stdout.splitlines()[-1])
+    assert set(codes[:2] + codes[-1:]) <= {0, 1} and codes[2:-1] == [0, 0, 0, 0], codes
+    assert before == []
+    # public subpackages the Poisson-layer fit loaded (scipy's own
+    # _private modules and its version module come with any import)
+    public = {m.split(".")[1] for m in after
+              if "." in m and not m.split(".")[1].startswith("_") and m.split(".")[1] != "version"}
+    assert public == {"special"}, after
 
 
 def test_density_and_shape_flags_follow_config_rules(capsys):

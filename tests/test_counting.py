@@ -1,6 +1,7 @@
 """Counting engine: exactness against the exhaustive oracle, identities,
 filters, invariances, and the binary cloud cache."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -24,7 +25,12 @@ from rgglab.counting import (
     make_cloud,
     save_cloud,
 )
-from rgglab.densities import VonMisesDensity
+from rgglab.densities import (
+    PowerLawDensity,
+    VonMisesDensity,
+    sample_poisson_cloud,
+    weak_core_radius,
+)
 
 
 def random_cloud(rng, n, d, spread=3.0):
@@ -191,6 +197,71 @@ def test_build_adjacency_matches_brute_force(rng):
     # coincident points are neighbours at any positive radius
     indptr, indices = kernels.build_adjacency(np.zeros((3, 2)), 1e-300)
     assert list(indptr) == [0, 2, 4, 6] and list(indices) == [1, 2, 0, 2, 0, 1]
+
+
+def _kdtree_csr(pts, radius):
+    """k-d tree pairs within a slack radius, kept iff ``sqrt(d2) <= radius``:
+    the pair search ``build_adjacency`` used before its cell list."""
+    from scipy.spatial import cKDTree
+
+    n = pts.shape[0]
+    pairs = cKDTree(pts).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
+    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    pairs = pairs[np.sqrt((diff * diff).sum(axis=1)) <= radius].astype(np.int64)
+    p, q = pairs[:, 0], pairs[:, 1]
+    keys = np.sort(np.concatenate([p * n + q, q * n + p]))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=n)
+                                            + np.bincount(q, minlength=n))])
+    return indptr, keys % n
+
+
+def _lattice_nd(d, side):
+    """The unit-spacing lattice {0, ..., side - 1}^d."""
+    axes = np.meshgrid(*[np.arange(side, dtype=float)] * d, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+def test_cell_list_adjacency_is_exact(rng, monkeypatch):
+    """The cell list gives the k-d tree reference's exact CSR, and the brute
+    force's on small clouds: pairs at exactly the radius on lattices,
+    clouds spanning +-1e7 (widened keys), a pair whose cells only the
+    extent term of the cell side keeps adjacent, a radius of 1e-300 on
+    spread points, a d = 8 cloud and the weak-core clouds of critical-k2's
+    rungs; each in one pass and in many candidate chunks."""
+    cases = []
+    for d, side in ((1, 40), (2, 12), (3, 6)):
+        grid = _lattice_nd(d, side)
+        for r in (1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0):
+            cases += [(grid, r), (grid * 0.1, r * 0.1), (grid + 1e7, r), (grid * 3.7 - 2e6, r * 3.7)]
+    tri = _lattice("triangular", 20)
+    cases += [(tri, 1.0), (tri, np.sqrt(3.0)), (tri - 1e7, 1.0)]
+    for d in (1, 2, 3):
+        wide = rng.normal(size=(400, d)) * 1e7
+        cases += [(wide, 1.5), (wide, 1e7), (np.concatenate([rng.normal(size=(300, d)), wide]), 1.0),
+                  (rng.normal(size=(200, d)), 1e-300), (wide, 1e-300)]
+    cases += [(rng.normal(size=(120, 8)), r) for r in (0.5, 2.5, 4.0)]
+    # a pair within the radius whose cells would round two apart with the
+    # relative slack alone: x - lo carries an error of about ulp(1.4e7)
+    far_pair = np.array([[-8780398.836418064], [5229596.390547375], [5229597.537112136]])
+    r_far = 1.1465647617362682
+    cases += [(far_pair, r_far), (np.column_stack([far_pair, np.zeros(3)]), r_far)]
+    power = PowerLawDensity(2, 4.0)
+    for n in (1e5, 1e6, 1e7):
+        R = weak_core_radius(power, n)
+        cases.append((sample_poisson_cloud(n, power, rng, exterior_radius=R).points, 1.5))
+    exact = 0
+    for (pts, r), chunk in itertools.product(cases, (kernels._PAIR_CHUNK, 64)):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)     # one pass, then many
+        indptr, indices = kernels.build_adjacency(pts, r)
+        ref_ptr, ref_idx = _kdtree_csr(pts, r)
+        assert np.array_equal(indptr, ref_ptr) and np.array_equal(indices, ref_idx), (pts.shape, r)
+        if pts.shape[0] <= 500:
+            bf_ptr, bf_idx = _brute_force_csr(pts, r)
+            assert np.array_equal(indptr, bf_ptr) and np.array_equal(indices, bf_idx)
+        rows = np.repeat(np.arange(pts.shape[0]), np.diff(indptr))
+        diff = pts[rows] - pts[indices]
+        exact += int(np.sum(np.sqrt((diff * diff).sum(axis=1)) == r))
+    assert exact > 0          # pairs at exactly the radius were kept
 
 
 def _lattice(kind, side):
