@@ -89,8 +89,8 @@ _WG10 = (0.066671344308688137593568809893332, 0.14945134915058059314577633965769
          0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
          0.295524224714752870173892994651338)
 
-# 15-point Kronrod rule on (0, 1] for dqk15i; the 7-point Gauss weights sit
-# at the even Kronrod nodes and are 0 at the odd ones, as in QUADPACK
+# 15-point Kronrod rule on (0, 1] for dqk15i, with the 7-point Gauss
+# weights set to 0 at the Kronrod-only nodes, as in QUADPACK
 _XGK15 = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
           0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
           0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
@@ -103,12 +103,12 @@ _WG7 = (0.0, 0.129484966168869693270611432679082, 0.0, 0.27970539148927666790146
         0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
 
 
-def _qk_error(resk, resg, reskh_terms, resabs, half, dhalf):
+def _qk_error(resk, resg, resasc, resabs, half, dhalf):
     """The tail shared by dqk21 and dqk15i: scale the sums by the half length
     and turn the Gauss-Kronrod difference into QUADPACK's error estimate."""
     result = resk * half
     resabs *= dhalf
-    resasc = reskh_terms * dhalf
+    resasc *= dhalf
     abserr = abs((resk - resg) * half)
     if resasc != 0.0 and abserr != 0.0:
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)

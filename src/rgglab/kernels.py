@@ -71,7 +71,7 @@ def build_adjacency(points: np.ndarray, radius: float):
     keys = keys[order]
     steps = (sum(o * s for o, s in zip(off, strides))
              for off in itertools.product((-1, 0, 1), repeat=g - 1))
-    ahead = np.array(sorted(s for s in steps if s > 0), dtype=np.int64)
+    ahead = np.array([s for s in steps if s > 0], dtype=np.int64)
     runs = np.concatenate([[0], ahead])
     stop = np.searchsorted(keys, (runs + 1)[:, None] + keys, side="right")
     start = np.empty_like(stop)
