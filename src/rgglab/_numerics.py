@@ -1,4 +1,4 @@
-"""The five scipy routines rgglab's experiments call, ported to Python and numpy.
+"""The four scipy routines rgglab's experiments call, ported to Python and numpy.
 
 Importing scipy costs about half a second of start-up, more than a whole
 benchmark experiment, so rgglab runs on numpy alone.  Each port keeps the
@@ -18,8 +18,6 @@ installed scipy.
   ``scipy/interpolate/_cubic.py``.
 * ``cumulative_simpson``: from ``scipy/integrate/_quadrature.py``, for 1-d
   samples on a strictly increasing grid with ``initial=0``.
-* ``gamma``: cephes ``Gamma`` for x > 0 (recurrence to [2, 3), the P/Q
-  rational function, Stirling's formula above 33), as ``special.gamma``.
 
 The code is derived from SciPy, which carries this notice:
 
@@ -679,64 +677,3 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     res = np.cumsum(sub)
     res += 0.0
     return np.concatenate(([0.0], res))
-
-
-# ---------------------------------------------------------------------------
-# gamma: cephes Gamma on x > 0
-# ---------------------------------------------------------------------------
-
-_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3, 1.04213797561761569935E-2,
-            4.76367800457137231464E-2, 2.07448227648435975150E-1, 4.94214826801497100753E-1,
-            9.99999999999999996796E-1)
-_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4, -4.45641913851797240494E-3,
-            1.18139785222060435552E-2, 3.58236398605498653373E-2, -2.34591795718243348568E-1,
-            7.14304917030273074085E-2, 1.00000000000000000320E0)
-_STIR = (7.87311395793093628397E-4, -2.29549961613378126380E-4, -2.68132617805781232825E-3,
-         3.47222221605458667310E-3, 8.33333333333482257126E-2)
-_MAXGAM = 171.624376956302725
-_MAXSTIR = 143.01608
-_SQTPI = 2.50662827463100050242E0
-
-
-def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _stirf(x):
-    """Stirling's formula, valid for 33 <= x <= 172."""
-    if x >= _MAXGAM:
-        return math.inf
-    w = 1.0 / x
-    w = 1.0 + w * _polevl(w, _STIR)
-    y = math.exp(x)
-    if x > _MAXSTIR:                       # avoid overflow in pow
-        v = x ** (0.5 * x - 0.25)
-        y = v * (v / y)
-    else:
-        y = x ** (x - 0.5) / y
-    return _SQTPI * y * w
-
-
-def gamma(x: float) -> np.float64:
-    """Gamma(x) for x > 0 with ``scipy.special.gamma``'s bits and type."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError(f"gamma is ported for x > 0 only, got {x}")
-    if x > 33.0:
-        return np.float64(_stirf(x))
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return np.float64(z / ((1.0 + 0.5772156649015329 * x) * x))
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return np.float64(z)
-    x -= 2.0
-    return np.float64(z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q))

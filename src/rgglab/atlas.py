@@ -93,10 +93,6 @@ def canonical_masks(masks: np.ndarray, k: int) -> np.ndarray:
     return best
 
 
-def canonical_mask(mask: int, k: int) -> int:
-    return int(canonical_masks(np.array([mask]), k)[0])
-
-
 def _edges_of_mask(mask: int, k: int) -> tuple[tuple[int, int], ...]:
     pb = pair_bit_index(k)
     return tuple(
@@ -321,12 +317,6 @@ def config_mask(points: np.ndarray, t: float) -> int:
             if np.linalg.norm(pts[i] - pts[j]) <= t:
                 mask |= 1 << pb[i, j]
     return mask
-
-
-def geometric_graph(points: np.ndarray, t: float) -> list[tuple[int, int]]:
-    """Edge list {i, j} with ||x_i - x_j|| <= t, 0-indexed, i < j."""
-    k = np.asarray(points).shape[0]
-    return list(_edges_of_mask(config_mask(points, t), k))
 
 
 def h_t(points: np.ndarray, t: float, shape: GraphShape) -> int:

@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 
 
 _SCHEMA = {
-    "density": {"family", "d", "alpha", "tau", "gamma", "z0"},
+    "density": {"family", "d", "alpha", "tau"},
     "schedule": {"kind", "beta", "c0", "k", "delta1", "delta2", "entries"},
     "shape": {"k", "name", "edges"},
     "experiment": {
@@ -132,12 +132,7 @@ def build_density(parser: configparser.ConfigParser) -> RadialDensity:
             raise ConfigError("[density] vonmises family needs tau")
         if "alpha" in sec:
             raise ConfigError("[density] alpha is a power-law parameter")
-        kwargs = {}
-        if "gamma" in sec:
-            kwargs["gamma"] = _float("density", "gamma", sec["gamma"])
-        if "z0" in sec:
-            kwargs["z0"] = _float("density", "z0", sec["z0"])
-        return VonMisesDensity(d, _float("density", "tau", sec["tau"]), **kwargs)
+        return VonMisesDensity(d, _float("density", "tau", sec["tau"]))
     raise ConfigError(f"[density] unknown family {family!r}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 # start-up and not the first draw pays for it
 import numpy.random  # noqa: F401
 
-from ._numerics import brentq, cumulative_simpson, gamma, pchip_coefficients, quad
+from ._numerics import brentq, cumulative_simpson, pchip_coefficients, quad
 
 
 class InvalidParameterError(ValueError):
@@ -38,10 +38,10 @@ class UnsupportedOperationError(RuntimeError):
 
 def sphere_surface_area(d: int) -> float:
     """Surface area s_{d-1} of the unit sphere in R^d (s_0 = 2)."""
-    return 2 * math.pi ** (d / 2) / gamma(d / 2)
+    return 2 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2) / gamma(d / 2 + 1)
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
 _TABLE_SIZE = 4096
@@ -390,20 +390,15 @@ class VonMisesDensity(RadialDensity):
 
     tau in (0, 1] gives the (sub)exponential tails used by the CLT
     experiments; tau > 1 (superexponential) is allowed only for core-radius
-    computations.  gamma and z0 are the polynomial-bound parameters of the
-    slowly varying factor; with L constant any gamma >= 0 works.
+    computations.
     """
 
     family = "vonmises"
 
-    def __init__(self, d: int, tau: float, gamma: float = 0.0, z0: float = 1.0):
+    def __init__(self, d: int, tau: float):
         if not tau > 0:
             raise InvalidParameterError(f"von Mises exponent must be positive, got {tau}")
-        if gamma < 0 or z0 <= 0:
-            raise InvalidParameterError("need gamma >= 0 and z0 > 0")
         self.tau = float(tau)
-        self.gamma = float(gamma)
-        self.z0 = float(z0)
         super().__init__(d)
 
     def psi(self, r):

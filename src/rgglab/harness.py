@@ -55,6 +55,7 @@ from .regimes import (
 # p-value floor of the Poisson-layer goodness-of-fit flag; the p-values are
 # always persisted so the flag can be re-evaluated after the fact
 GOF_P_THRESHOLD = 0.01
+GOF_MIN_EXPECTED = 5.0   # fewest expected counts per chi-square bin
 BAND_FRACTION = 0.9
 # most grid cubes a core-coverage rung may enumerate; a larger rung raises
 # ExperimentError before it draws any cloud
@@ -380,27 +381,33 @@ def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _poisson_pmf(k, mu) -> np.ndarray:
-    """Poisson(mu) pmf at the integers k >= 0 with ``scipy.stats.poisson.pmf``'s
-    arithmetic, without importing ``scipy.stats`` (mu = 0 gives 1 at 0).
+    """mu^k e^-mu / Gamma(k + 1) at a 1-d array of reals k >= 0, with 0^0 = 1:
+    the Poisson(mu) pmf at integer k.  Each term is the exp of its logarithm."""
+    k = np.asarray(k, dtype=float)
+    log_gamma = np.array([math.lgamma(v + 1) for v in k.tolist()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_mu = np.where(k == 0, 0.0, k * np.log(mu))
+    return np.clip(np.exp(k_log_mu - log_gamma - mu), 0, 1)
 
-    Only the Poisson-layer fit needs ``scipy.special``, so only it loads it."""
-    from scipy import special
 
-    k = np.asarray(k)
-    return np.clip(np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu), 0, 1)
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-square survival function P(X > x) for an integer dof >= 1; 1 for x <= 0.
 
-
-def _chi2_sf(x: float, dof: int) -> np.float64:
-    """Chi-square survival function P(X > x) as ``scipy.stats.chi2.sf``; 1 for x <= 0."""
+    For an integer dof the tail is a finite sum (Abramowitz & Stegun 1964,
+    26.4.4-5): with h = x/2, sum_{j < dof/2} h^j e^-h / j! for even dof, and
+    erfc(sqrt(h)) + sum_{j = 1/2, 3/2, ... < dof/2} h^j e^-h / Gamma(j + 1)
+    for odd dof.
+    """
     if x <= 0:
-        return np.float64(1.0)
-    from scipy import special
+        return 1.0
+    half = x / 2
+    tail = float(_poisson_pmf(np.arange(dof % 2 / 2, dof / 2), half).sum())
+    return tail + math.erfc(math.sqrt(half)) if dof % 2 else tail
 
-    return special.chdtrc(dof, x)
 
-
-def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
-    """Chi-square goodness of fit of integer counts against Poisson(mean)."""
+def poisson_gof(counts: np.ndarray) -> dict:
+    """Chi-square goodness of fit of integer counts against Poisson(mean);
+    adjacent bins are merged until each expects ``GOF_MIN_EXPECTED`` counts."""
     counts = np.asarray(counts, dtype=int)
     n = len(counts)
     lam = counts.mean()
@@ -413,7 +420,7 @@ def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
     for o, e in zip(obs, exp):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= GOF_MIN_EXPECTED:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0
@@ -424,7 +431,7 @@ def poisson_gof(counts: np.ndarray, min_expected: float = 5.0) -> dict:
     if dof < 1:
         return {"chi2": 0.0, "dof": 0, "p_value": 1.0, "bins": len(merged_obs)}
     chi2 = float(sum((o - e) ** 2 / e for o, e in zip(merged_obs, merged_exp)))
-    return {"chi2": chi2, "dof": dof, "p_value": float(_chi2_sf(chi2, dof)),
+    return {"chi2": chi2, "dof": dof, "p_value": _chi2_sf(chi2, dof),
             "bins": len(merged_obs)}
 
 

@@ -41,10 +41,6 @@ _CHUNK = 1 << 15
 _MIN_SAMPLES = 1000
 
 
-class IndefiniteCovarianceError(RuntimeError):
-    """Matrix is indefinite beyond the jitter budget."""
-
-
 def b_constant(d: int, k: int, ell: int, alpha: float) -> float:
     """Heavy-tail block constant s_{d-1} / (ell! ((k-ell)!)^2 (alpha(2k-ell) - d))."""
     _check_ell(k, ell)
@@ -123,23 +119,6 @@ class LimitCovariance:
     matrix: np.ndarray
     std_err: np.ndarray
     provenance: dict = field(default_factory=dict)
-
-    def psd_projected(self, jitter_budget: float = 1e-10):
-        """Eigenvalue-clipped PSD version and the jitter that was needed."""
-        return _psd_clip(self.matrix, jitter_budget)
-
-
-def _psd_clip(matrix: np.ndarray, jitter_budget: float):
-    matrix = 0.5 * (matrix + matrix.T)
-    vals, vecs = np.linalg.eigh(matrix)
-    trace = float(np.trace(matrix))
-    budget = jitter_budget * max(trace, np.finfo(float).tiny)
-    jitter = max(0.0, -float(vals.min()))
-    if jitter > budget:
-        raise IndefiniteCovarianceError(
-            f"smallest eigenvalue {vals.min():.3e} below jitter budget {budget:.3e}")
-    clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    return 0.5 * (clipped + clipped.T), jitter
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +354,10 @@ def brownian_identity_check(params: OracleParams, mode: str = "plus") -> dict:
         raise InvalidParameterError("mode must be 'plus' or 'minus'")
     d, k = params.d, params.k
     cov = covariance_L(params, mode=mode)
-
-    # independent MC for K = B_k * int h_mode(0, y) dy at unit radius
-    atlas = build_atlas(k)
-    rng = np.random.default_rng(params.seed + 977)
-    radius = float(k)
-    volume = unit_ball_volume(d) * radius ** d
-    total = 0.0
-    n = params.n_samples
-    remaining = n
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        remaining -= count
-        y = _ball_points(rng, count, k - 1, d, radius)
-        cfg = np.concatenate([np.zeros((count, 1, d)), y], axis=1)
-        vals = _mode_values(atlas, params.shape, cfg, np.array([1.0]), mode)[:, 0]
-        total += vals.sum()
-    p_hat = total / n
-    factor = b_constant(d, k, k, params.alpha) * volume ** (k - 1)
-    k_hat = factor * p_hat
-    k_se = factor * math.sqrt(max(p_hat - p_hat ** 2, 0.0) / n)
+    # K = B_k int h_mode(0, y) dy is the block at t = s = 1, from independent draws
+    unit = covariance_L(replace(params, t_grid=np.array([1.0]), seed=params.seed + 977),
+                        mode=mode)
+    k_hat, k_se = unit.matrix[0, 0], unit.std_err[0, 0]
 
     expo = d * (k - 1)
     tt, ss = np.meshgrid(params.t_grid, params.t_grid, indexing="ij")
@@ -410,18 +373,21 @@ def brownian_identity_check(params: OracleParams, mode: str = "plus") -> dict:
     }
 
 
-def self_similarity_report(params: OracleParams, t0: float = 1.0,
-                           factors=(1.0, 2.0, 4.0), mode: str = "h") -> dict:
-    """Estimated log-log slope of L_ell(c t0, c t0) against the exact
-    self-similarity exponent d(2k - ell - 1) of the covariance scaling."""
+_SCALE_FACTORS = (1.0, 2.0, 4.0)
+
+
+def self_similarity_report(params: OracleParams) -> dict:
+    """Estimated log-log slope of L_ell(c, c) over c in ``_SCALE_FACTORS``
+    against the exact self-similarity exponent d(2k - ell - 1) of the
+    covariance scaling."""
     d, k, ell = params.d, params.k, params.ell
     values, ses = [], []
-    for i, c in enumerate(factors):
-        sub = replace(params, t_grid=np.array([c * t0]), seed=params.seed + 131 * i)
-        block = covariance_L(sub, mode=mode)
+    for i, c in enumerate(_SCALE_FACTORS):
+        sub = replace(params, t_grid=np.array([c]), seed=params.seed + 131 * i)
+        block = covariance_L(sub)
         values.append(float(block.matrix[0, 0]))
         ses.append(float(block.std_err[0, 0]))
-    x = np.log(np.asarray(factors, dtype=float))
+    x = np.log(np.asarray(_SCALE_FACTORS))
     y = np.log(values)
     w = (x - x.mean()) / np.sum((x - x.mean()) ** 2)
     slope = float(w @ y)
@@ -432,20 +398,8 @@ def self_similarity_report(params: OracleParams, t0: float = 1.0,
     return {
         "slope": slope, "slope_se": slope_se, "target": float(target),
         "z": float(z), "passed": bool(z <= 3.0),
-        "values": values, "std_errs": ses, "factors": list(factors),
+        "values": values, "std_errs": ses, "factors": list(_SCALE_FACTORS),
     }
-
-
-def sample_limit_paths(cov, count: int, rng: np.random.Generator,
-                       jitter_budget: float = 1e-10) -> np.ndarray:
-    """Zero-mean Gaussian vectors with the given covariance (symmetric
-    eigen-factorization after PSD clipping within the jitter budget)."""
-    matrix = cov.matrix if isinstance(cov, LimitCovariance) else np.asarray(cov, dtype=float)
-    clipped, _ = _psd_clip(matrix, jitter_budget)
-    vals, vecs = np.linalg.eigh(clipped)
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    z = rng.standard_normal((count, matrix.shape[0]))
-    return z @ factor.T
 
 
 # ---------------------------------------------------------------------------

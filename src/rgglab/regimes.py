@@ -22,6 +22,7 @@ CRITICAL = "critical"
 DENSE = "dense"
 
 _CRITICAL_DRIFT = 0.01   # max |relative drift| per decade for the critical tag
+_PER_DECADE = 8          # evidence-grid points per decade of n
 
 
 class UnclassifiableError(RuntimeError):
@@ -51,19 +52,19 @@ def _check_light_usable(density: RadialDensity) -> None:
             "normalizations, usable for core computations only")
 
 
-def evidence_grid(n_range, per_decade: int = 8) -> np.ndarray:
+def evidence_grid(n_range) -> np.ndarray:
     lo, hi = float(n_range[0]), float(n_range[1])
     if not 0 < lo < hi:
         raise ValueError("need 0 < n_lo < n_hi")
     decades = math.log10(hi / lo)
-    count = max(int(round(decades * per_decade)) + 1, 5)
+    count = max(int(round(decades * _PER_DECADE)) + 1, 5)
     return np.geomspace(lo, hi, count)
 
 
 def classify_regime(density: RadialDensity, schedule: RadiusSchedule,
-                    n_range, per_decade: int = 8) -> RegimeClass:
+                    n_range) -> RegimeClass:
     """Tag the schedule by the trend of q_n = n f(R_n e_1) over ``n_range``."""
-    ns = evidence_grid(n_range, per_decade)
+    ns = evidence_grid(n_range)
     qs = np.array([n * density.radial_profile(schedule.radius(density, n)) for n in ns])
     if np.any(qs <= 0) or not np.all(np.isfinite(qs)):
         raise UnclassifiableError("evidence sequence must be positive and finite")
@@ -91,11 +92,11 @@ class GrowthReport:
 
 
 def check_growth_condition(density: RadialDensity, schedule: RadiusSchedule,
-                           k: int, n_range, per_decade: int = 8) -> GrowthReport:
+                           k: int, n_range) -> GrowthReport:
     """Pass iff the normalizing product n^k f(R_n)^k V(R_n) still increases
     over the last decade (its log is the sparse log tau_n)."""
     _check_light_usable(density)
-    ns = evidence_grid(n_range, per_decade)
+    ns = evidence_grid(n_range)
     logs = np.array([
         log_tau(density, SPARSE, n, schedule.radius(density, n), k) for n in ns
     ])

@@ -9,10 +9,8 @@ import pytest
 from rgglab.atlas import (
     UnsupportedOrderError,
     build_atlas,
-    canonical_mask,
     canonical_masks,
     config_mask,
-    geometric_graph,
     h_minus,
     h_plus,
     h_t,
@@ -88,8 +86,9 @@ def test_canonical_iff_isomorphic(rng):
     k = 5
     n_masks = 1 << (k * (k - 1) // 2)
     masks = rng.integers(0, n_masks, size=120)
-    for m1, m2 in zip(masks[::2], masks[1::2]):
-        same = canonical_mask(int(m1), k) == canonical_mask(int(m2), k)
+    canon = canonical_masks(masks, k)
+    for m1, m2, c1, c2 in zip(masks[::2], masks[1::2], canon[::2], canon[1::2]):
+        same = c1 == c2
         iso = nx.is_isomorphic(_nx_graph(int(m1), k), _nx_graph(int(m2), k))
         assert same == iso
 
@@ -108,11 +107,12 @@ def test_classify_matches_networkx(rng):
 
 
 def test_geometric_graph_examples():
+    pb = pair_bit_index(3)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert geometric_graph(pts, 1.0) == [(0, 1), (1, 2)]
-    assert geometric_graph(pts, 0.0) == []
+    assert config_mask(pts, 1.0) == (1 << pb[0, 1]) | (1 << pb[1, 2])
+    assert config_mask(pts, 0.0) == 0
     eq = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-    assert len(geometric_graph(eq, 1.0)) == 3
+    assert config_mask(eq, 1.0) == 0b111
 
 
 def test_h_examples(path3, triangle):

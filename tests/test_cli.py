@@ -329,70 +329,66 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_experiments_never_import_scipy_stats(tmp_path):
-    """A CLT and a Poisson-layer experiment run in a fresh interpreter without
-    loading ``scipy.stats``; the chi-square p-value it reports is scipy's."""
-    (tmp_path / "clt.ini").write_text(SMALL_CLT)
-    (tmp_path / "layer.ini").write_text(SMALL_POISSON_LAYER)
+def _run_with_scipy_blocked(cwd, runs):
+    """Run each argv of ``runs`` through ``parse_and_dispatch`` in one fresh
+    interpreter in which ``import scipy`` fails; return the exit codes and
+    the scipy submodules that ended up loaded."""
     script = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None   # any import of scipy now raises\n"
         "from rgglab.cli import parse_and_dispatch\n"
-        "codes = [parse_and_dispatch(['experiment', '--config', name + '.ini',"
-        " '--out', name]) for name in ('clt', 'layer')]\n"
-        "print(json.dumps([codes, 'scipy.stats' in sys.modules]))\n"
+        f"codes = [parse_and_dispatch(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy.'))]))\n"
     )
-    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+    child = subprocess.run([sys.executable, "-c", script], cwd=cwd,
                            capture_output=True, text=True, env=_child_env())
     assert child.returncode == 0, child.stderr
-    codes, loaded = json.loads(child.stdout.splitlines()[-1])
-    assert set(codes) <= {0, 1}   # both ran to a verdict, pass or fail
-    assert loaded is False
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_experiments_never_import_scipy_stats(tmp_path):
+    """All five experiment kinds run in a fresh interpreter in which
+    ``import scipy`` fails; the chi-square p-value the Poisson-layer run
+    reports is scipy's within 1e-12 relative."""
+    for name, text in (("clt", SMALL_CLT), ("core", SMALL_CORE),
+                       ("layer", SMALL_POISSON_LAYER)):
+        (tmp_path / f"{name}.ini").write_text(text)
+    experiments = [
+        ["--config", "clt.ini", "--out", "clt"],
+        ["--config", "core.ini", "--out", "core"],
+        ["--config", "layer.ini", "--out", "layer"],
+        ["--config", "clt.ini", "--out", "census", "--set", "experiment.kind=annuli_census"],
+        ["--config", "clt.ini", "--out", "palm", "--set", "experiment.kind=palm",
+         "--set", "experiment.replications=10"],
+    ]
+    codes, loaded = _run_with_scipy_blocked(tmp_path, [["experiment", *argv] for argv in experiments])
+    assert set(codes) <= {0, 1}, codes   # each ran to a verdict, pass or fail
+    assert loaded == []
     header, row = (tmp_path / "layer" / "summary.csv").read_text().splitlines()
     summary = dict(zip(header.split(","), row.split(",")))
     assert int(summary["dof"]) >= 1
-    assert float(summary["p_value"]) == stats.chi2.sf(float(summary["chi2"]),
-                                                      int(summary["dof"]))
+    assert float(summary["p_value"]) == pytest.approx(
+        stats.chi2.sf(float(summary["chi2"]), int(summary["dof"])), rel=1e-12, abs=0)
 
 
 def test_commands_never_import_scipy(tmp_path):
-    """A CLT and a core experiment, then ``atlas``, ``radii``, ``count`` and
-    ``oracle``, run in one fresh interpreter without loading any scipy
-    module; a Poisson-layer fit run after them loads ``scipy.special`` only."""
-    (tmp_path / "clt.ini").write_text(SMALL_CLT)
-    (tmp_path / "core.ini").write_text(SMALL_CORE)
-    (tmp_path / "layer.ini").write_text(SMALL_POISSON_LAYER)
-    runs = [
-        ["experiment", "--config", "clt.ini", "--out", "clt"],
-        ["experiment", "--config", "core.ini", "--out", "core"],
-        ["atlas", "--k", "3"],
-        ["radii", "--family", "power", "--d", "2", "--alpha", "4", "--n", "1e5"],
-        ["count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "1e4",
-         "--exterior-radius", "5", "--seed", "2", "--k", "2", "--t-grid", "0.5,1.0", "--R", "5"],
+    """The ``atlas``, ``radii``, ``sample``, ``count``, ``oracle`` and
+    ``regime`` commands each succeed in a fresh interpreter in which
+    ``import scipy`` fails."""
+    density = ["--family", "power", "--d", "2", "--alpha", "4"]
+    commands = [
+        ["atlas", "--k", "3", "--out", "atlas.txt"],
+        ["radii", *density, "--n", "1e5", "--out", "radii.csv"],
+        ["sample", *density, "--n", "200", "--seed", "2", "--out", "cloud.csv"],
+        ["count", *density, "--n", "1e4", "--exterior-radius", "5", "--seed", "2",
+         "--k", "2", "--t-grid", "0.5,1.0", "--R", "5", "--out", "count.csv"],
         ["oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2", "--alpha", "4",
-         "--t-grid", "1.0", "--samples", "20000", "--seed", "1"],
+         "--t-grid", "1.0", "--samples", "20000", "--seed", "1", "--out", "oracle.csv"],
+        ["regime", *density, "--schedule", "power", "--n-range", "1e2,1e4"],
     ]
-    script = (
-        "import json, sys\n"
-        "from rgglab.cli import parse_and_dispatch\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        f"codes = [parse_and_dispatch(argv) for argv in {runs!r}]\n"
-        "before = loaded()\n"
-        "codes.append(parse_and_dispatch(['experiment', '--config', 'layer.ini',"
-        " '--out', 'layer']))\n"
-        "print(json.dumps([codes, before, loaded()]))\n"
-    )
-    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                           capture_output=True, text=True, env=_child_env())
-    assert child.returncode == 0, child.stderr
-    codes, before, after = json.loads(child.stdout.splitlines()[-1])
-    assert set(codes[:2] + codes[-1:]) <= {0, 1} and codes[2:-1] == [0, 0, 0, 0], codes
-    assert before == []
-    # public subpackages the Poisson-layer fit loaded (scipy's own
-    # _private modules and its version module come with any import)
-    public = {m.split(".")[1] for m in after
-              if "." in m and not m.split(".")[1].startswith("_") and m.split(".")[1] != "version"}
-    assert public == {"special"}, after
+    codes, loaded = _run_with_scipy_blocked(tmp_path, commands)
+    assert codes == [0] * 6, codes
+    assert loaded == []
 
 
 def test_density_and_shape_flags_follow_config_rules(capsys):

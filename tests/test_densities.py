@@ -48,6 +48,24 @@ def test_normalization_closed_forms(power12, power24, vm11):
     assert vm11.C == pytest.approx(0.5, rel=1e-10)
 
 
+def test_sphere_area_and_ball_volume_closed_forms():
+    """s_{d-1} = 2 pi^(d/2) / Gamma(d/2) and V_d = pi^(d/2) / Gamma(d/2 + 1):
+    exact at even d = 2m (Gamma is a factorial there), and within 4e-16 of
+    2^(2m+1) pi^m m! / (2m)! and of the same over (2m + 1) at odd d = 2m + 1."""
+    from rgglab.densities import sphere_surface_area, unit_ball_volume
+
+    for d in range(1, 9):
+        m = d // 2
+        if d % 2 == 0:
+            area = 2 * math.pi ** m / math.factorial(m - 1)
+            volume = math.pi ** m / math.factorial(m)
+            assert sphere_surface_area(d) == area and unit_ball_volume(d) == volume, d
+        else:
+            area = 2 ** (2 * m + 1) * math.pi ** m * math.factorial(m) / math.factorial(2 * m)
+            assert sphere_surface_area(d) == pytest.approx(area, rel=4e-16, abs=0), d
+            assert unit_ball_volume(d) == pytest.approx(area / d, rel=4e-16, abs=0), d
+
+
 def test_normalization_invalid():
     with pytest.raises(InvalidParameterError):
         PowerLawDensity(2, 2.0)   # alpha <= d diverges

@@ -1,5 +1,5 @@
 """Limit oracle: constants, MC covariances, mixtures, Brownian identity,
-self-similarity, and Gaussian path sampling."""
+self-similarity, and exact pair cumulants."""
 
 import math
 
@@ -13,8 +13,6 @@ from rgglab.densities import (
     unit_ball_volume,
 )
 from rgglab.limits import (
-    IndefiniteCovarianceError,
-    LimitCovariance,
     OracleParams,
     b_constant,
     brownian_identity_check,
@@ -24,7 +22,6 @@ from rgglab.limits import (
     exact_pair_cumulants,
     indicator_values,
     mixture_covariance,
-    sample_limit_paths,
     self_similarity_report,
     _accumulate,
     _ball_points,
@@ -63,6 +60,8 @@ def test_covariance_L_closed_form(k2):
     target = math.pi / 6 * math.pi * np.minimum.outer([0.5, 1.0], [0.5, 1.0]) ** 2
     assert np.all(np.abs(cov.matrix - target) <= 5 * cov.std_err)
     assert np.array_equal(cov.matrix, cov.matrix.T)   # symmetrized exactly
+    # the ell = k estimator is a Gram matrix: PSD without any jitter
+    assert np.linalg.eigvalsh(cov.matrix).min() >= 0.0
     # t = 0 entries vanish for k >= 2
     cov0 = covariance_L(params(k2, grid=(0.0, 1.0), n=10_000, seed=2))
     assert cov0.matrix[0, 0] == 0.0 and cov0.matrix[0, 1] == 0.0
@@ -181,35 +180,6 @@ def test_self_similarity_small(k2):
     rep = self_similarity_report(params(k2, grid=(1.0,), n=120_000, seed=14))
     assert rep["target"] == 2.0          # d(2k - ell - 1) = 2
     assert rep["passed"], rep
-
-
-def test_sample_limit_paths(rng):
-    # zero matrix -> zero paths
-    zero = LimitCovariance(t_grid=np.array([1.0, 2.0]), matrix=np.zeros((2, 2)),
-                           std_err=np.zeros((2, 2)))
-    assert np.all(sample_limit_paths(zero, 100, rng) == 0)
-    # min(t,s): Brownian increments uncorrelated
-    grid = np.array([0.5, 1.0, 1.5, 2.0])
-    cov = np.minimum.outer(grid, grid)
-    paths = sample_limit_paths(cov, 40_000, rng)
-    incs = np.diff(paths, axis=1)
-    cc = np.corrcoef(incs.T)
-    off = cc[~np.eye(3, dtype=bool)]
-    assert np.all(np.abs(off) < 0.03)
-    # sample covariance within 3% of the input at 1e4+ paths
-    emp = np.cov(paths.T, ddof=1)
-    assert np.all(np.abs(emp - cov) <= 0.03 * cov.max())
-
-
-def test_psd_projection(k2):
-    cov = covariance_L(params(k2, grid=(0.5, 1.0), n=20_000, seed=15))
-    projected, jitter = cov.psd_projected()
-    # ell = k estimator is a Gram matrix: PSD without any jitter
-    assert jitter == 0.0
-    assert np.all(np.linalg.eigvalsh(projected) >= -1e-12)
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
-    with pytest.raises(IndefiniteCovarianceError):
-        sample_limit_paths(bad, 10, np.random.default_rng(0))
 
 
 def test_params_validation(k2, path3):

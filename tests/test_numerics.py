@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, interpolate, optimize, special
+from scipy import integrate, interpolate, optimize
 
 from rgglab import _numerics, densities
 from rgglab.densities import PowerLawDensity, VonMisesDensity
@@ -193,17 +193,3 @@ def test_pchip_and_simpson_match_scipy(rng):
                                   integrate.cumulative_simpson(y, x=x, initial=0.0))
     with pytest.raises(ValueError):
         _numerics.pchip_coefficients(np.array([0.0]), np.array([1.0]))
-
-
-def test_gamma_matches_scipy(rng):
-    """At d/2 and d/2 + 1 for every d = 1..341 (the unit-ball and sphere
-    constants), and at random x across the recurrence, the rational
-    function and Stirling's formula; the type is scipy's np.float64."""
-    xs = [d / 2 for d in range(1, 342)] + [d / 2 + 1 for d in range(1, 342)]
-    xs += np.exp(rng.uniform(-25, math.log(171.6), 5000)).tolist()
-    for x in xs:
-        got, ref = _numerics.gamma(x), special.gamma(x)
-        assert got == ref and type(got) is type(ref), x
-    assert _numerics.gamma(172.0) == special.gamma(172.0) == math.inf
-    with pytest.raises(ValueError):
-        _numerics.gamma(0.0)
