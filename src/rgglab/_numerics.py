@@ -1,4 +1,4 @@
-"""The four scipy routines rgglab's experiments call, ported to Python and numpy.
+"""rgglab's numerical routines on numpy alone: four scipy ports and one fixed rule.
 
 Importing scipy costs about half a second of start-up, more than a whole
 benchmark experiment, so rgglab runs on numpy alone.  Each port keeps the
@@ -6,11 +6,11 @@ branch order and the scalar arithmetic of the code it follows, so it returns
 scipy 1.17's bits; ``tests/test_numerics.py`` checks that against the
 installed scipy.
 
-* ``quad``: QUADPACK's ``dqagse`` (finite interval, 21-point Gauss-Kronrod
-  rule ``dqk21``) and ``dqagie`` (``[a, inf)``, 15-point rule ``dqk15i``),
-  with the error-ordered interval list ``dqpsrt`` and the epsilon-algorithm
-  extrapolation ``dqelg`` (Piessens, de Doncker-Kapenga, Ueberhuber and
-  Kahaner, *QUADPACK*, Springer 1983).  QUADPACK is in the public domain.
+* ``quad``: QUADPACK's ``dqagie`` on ``[a, inf)`` (15-point rule
+  ``dqk15i``), with the error-ordered interval list ``dqpsrt`` and the
+  epsilon-algorithm extrapolation ``dqelg`` (Piessens, de Doncker-Kapenga,
+  Ueberhuber and Kahaner, *QUADPACK*, Springer 1983).  QUADPACK is in the
+  public domain.
 * ``brentq``: scipy's ``brentq.c`` (Brent, *Algorithms for Minimization
   without Derivatives*, 1973, ch. 4).
 * ``pchip_coefficients``: the ``c`` array of ``PchipInterpolator`` (Fritsch
@@ -18,6 +18,10 @@ installed scipy.
   ``scipy/interpolate/_cubic.py``.
 * ``cumulative_simpson``: from ``scipy/integrate/_quadrature.py``, for 1-d
   samples on a strictly increasing grid with ``initial=0``.
+
+``gauss_legendre`` is not a port: it lays numpy's Gauss-Legendre nodes on
+the segments between given cuts, the one composite rule that the tail
+integral and the exact pair cumulants share.
 
 The code is derived from SciPy, which carries this notice:
 
@@ -55,6 +59,7 @@ The code is derived from SciPy, which carries this notice:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -67,25 +72,8 @@ _OFLOW = sys.float_info.max          # d1mach(2)
 
 
 # ---------------------------------------------------------------------------
-# quad: QUADPACK dqagse / dqagie
+# quad: QUADPACK dqagie
 # ---------------------------------------------------------------------------
-
-# 21-point Kronrod abscissae (xgk) and weights (wgk) and the weights of the
-# embedded 10-point Gauss rule (wg), whose abscissae are xgk[1], xgk[3], ...
-_XGK21 = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-          0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-          0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-          0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-          0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK21 = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-          0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-          0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-          0.123491976262065851077208034322550, 0.134709217311473325928054001771707,
-          0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-          0.149445554002916905664936468389821)
-_WG10 = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-         0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-         0.295524224714752870173892994651338)
 
 # 15-point Kronrod rule on (0, 1] for dqk15i, with the 7-point Gauss
 # weights set to 0 at the Kronrod-only nodes, as in QUADPACK
@@ -101,59 +89,15 @@ _WG7 = (0.0, 0.129484966168869693270611432679082, 0.0, 0.27970539148927666790146
         0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
 
 
-def _qk_error(resk, resg, resasc, resabs, half, dhalf):
-    """The tail shared by dqk21 and dqk15i: scale the sums by the half length
-    and turn the Gauss-Kronrod difference into QUADPACK's error estimate."""
-    result = resk * half
-    resabs *= dhalf
-    resasc *= dhalf
-    abserr = abs((resk - resg) * half)
-    if resasc != 0.0 and abserr != 0.0:
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
-
-
-def _qk21(f, a, b):
-    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b].
-
-    ``f`` takes the 21 abscissae as a list, laid out as the centre, the ten
-    points ``centre - h x_j`` and the ten points ``centre + h x_j``, and
-    returns the 21 values as floats."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = [hlgth * x for x in _XGK21]
-    fv = f([centr] + [centr - s for s in absc] + [centr + s for s in absc])
-    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:21]
-    resg = 0.0
-    resk = _WGK21[10] * fc
-    resabs = abs(resk)
-    for j in (1, 3, 5, 7, 9):              # the Gauss nodes first, as QUADPACK
-        fsum = fv1[j] + fv2[j]
-        resg = resg + _WG10[j // 2] * fsum
-        resk = resk + _WGK21[j] * fsum
-        resabs = resabs + _WGK21[j] * (abs(fv1[j]) + abs(fv2[j]))
-    for j in (0, 2, 4, 6, 8):
-        fsum = fv1[j] + fv2[j]
-        resk = resk + _WGK21[j] * fsum
-        resabs = resabs + _WGK21[j] * (abs(fv1[j]) + abs(fv2[j]))
-    reskh = resk * 0.5
-    resasc = _WGK21[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK21[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    return _qk_error(resk, resg, resasc, resabs, hlgth, abs(hlgth))
-
-
 def _qk15i(f, boun, a, b):
-    """dqk15i with inf = 1: the 15-point rule on [a, b] in (0, 1] for the
-    integral of f over [boun, inf), mapped by x = boun + (1 - t) / t."""
+    """dqk15i with inf = 1: (result, abserr, resabs, resasc) of the 15-point
+    rule on [a, b] in (0, 1] for the integral of f over [boun, inf), mapped
+    by x = boun + (1 - t) / t."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = [hlgth * x for x in _XGK15]
     t = [centr] + [centr - s for s in absc] + [centr + s for s in absc]
-    fv = f([boun + (1.0 - u) / u for u in t])
-    fv = [(v / u) / u for v, u in zip(fv, t)]
+    fv = [(float(f(boun + (1.0 - u) / u)) / u) / u for u in t]
     fc, fv1, fv2 = fv[0], fv[1:8], fv[8:15]
     resg = _WG7[7] * fc
     resk = _WGK15[7] * fc
@@ -167,7 +111,15 @@ def _qk15i(f, boun, a, b):
     resasc = _WGK15[7] * abs(fc - reskh)
     for j in range(7):
         resasc = resasc + _WGK15[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    return _qk_error(resk, resg, resasc, resabs, hlgth, hlgth)
+    result = resk * hlgth
+    resabs *= hlgth
+    resasc *= hlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
 
 
 def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
@@ -309,15 +261,15 @@ class _Epsilon:
         return result, max(abserr, 5.0 * _EPMACH * abs(result))
 
 
-def _qage(rule, a, b, epsabs, epsrel, limit):
-    """The adaptive loop shared by dqagse and dqagie, on the interval [a, b]
-    of the rule ``rule(a1, b1) -> (result, abserr, resabs, resasc)``.
-
-    Returns (result, abserr, ier, last) with QUADPACK's final ier."""
+def _qagie(f, bound, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """dqagie with inf = 1, the integral of the scalar f over [bound, inf):
+    (result, abserr, ier, last) with QUADPACK's final ier.  The adaptive loop
+    bisects [a, b] = [0, 1], the range of dqk15i's mapped variable."""
+    a, b = 0.0, 1.0
     if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
         return 0.0, 0.0, 6, 0
     # first approximation to the integral
-    result, abserr, defabs, resabs = rule(a, b)
+    result, abserr, defabs, resabs = _qk15i(f, bound, a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 0
@@ -357,8 +309,8 @@ def _qage(rule, a, b, epsabs, epsrel, limit):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = rule(a1, b1)
-        area2, error2, _, defab2 = rule(a2, b2)
+        area1, error1, _, defab1 = _qk15i(f, bound, a1, b1)
+        area2, error2, _, defab2 = _qk15i(f, bound, a2, b2)
         # improve the previous approximations and test for accuracy
         area12 = area1 + area2
         erro12 = error1 + error2
@@ -491,18 +443,6 @@ def _qage(rule, a, b, epsabs, epsrel, limit):
     return result, errsum, (ier - 1 if ier > 2 else ier), last
 
 
-def _qagse(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
-    """dqagse on a finite [a, b]: (result, abserr, ier, last); ``f`` maps a
-    list of abscissae to a list of values."""
-    return _qage(lambda lo, hi: _qk21(f, lo, hi), a, b, epsabs, epsrel, limit)
-
-
-def _qagie(f, bound, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
-    """dqagie with inf = 1, the integral over [bound, inf): (result, abserr,
-    ier, last); ``f`` maps a list of abscissae to a list of values."""
-    return _qage(lambda lo, hi: _qk15i(f, bound, lo, hi), 0.0, 1.0, epsabs, epsrel, limit)
-
-
 _QUAD_MESSAGES = {
     1: "the maximum number of subdivisions has been reached",
     2: "roundoff error prevents the requested tolerance from being reached",
@@ -512,32 +452,37 @@ _QUAD_MESSAGES = {
 }
 
 
-def quad(f, a: float, b: float, limit: int = 50, vectorized: bool = False):
-    """(integral, abserr) of f over [a, b], a < b, b finite or ``inf``, as
-    ``scipy.integrate.quad(f, a, b, limit=limit)`` with its default
+def quad(f, a: float, limit: int = 50):
+    """(integral, abserr) of the scalar f over [a, inf), as
+    ``scipy.integrate.quad(f, a, np.inf, limit=limit)`` with its default
     tolerances ``epsabs = epsrel = 1.49e-8``.
 
-    A scalar ``f`` is called once per abscissa with a float; a ``vectorized``
-    ``f`` is called once per rule with a 1-d array of the rule's abscissae
-    and must return the same bits as its scalar calls.  QUADPACK's codes 1-5
-    warn, as scipy's ``IntegrationWarning`` does; an invalid tolerance or
-    limit (code 6) raises ``ValueError``.
+    QUADPACK's codes 1-5 warn, as scipy's ``IntegrationWarning`` does; an
+    invalid tolerance or limit (code 6) raises ``ValueError``.
     """
-    if vectorized:
-        def many(xs):
-            return np.asarray(f(np.array(xs)), dtype=np.float64).tolist()
-    else:
-        def many(xs):
-            return [float(f(x)) for x in xs]
-    if b == math.inf:
-        result, abserr, ier, _ = _qagie(many, a, limit=limit)
-    else:
-        result, abserr, ier, _ = _qagse(many, a, b, limit=limit)
+    result, abserr, ier, _ = _qagie(f, a, limit=limit)
     if ier == 6:
         raise ValueError(f"quad: invalid input (limit = {limit})")
     if ier:
-        warnings.warn(f"quad on [{a}, {b}]: {_QUAD_MESSAGES[ier]}", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"quad on [{a}, inf): {_QUAD_MESSAGES[ier]}", RuntimeWarning, stacklevel=2)
     return result, abserr
+
+
+# ---------------------------------------------------------------------------
+# composite Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(m)
+
+
+def gauss_legendre(cuts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on each segment
+    between consecutive cuts, segment by segment."""
+    x, w = _legendre(m)
+    a, b = cuts[:-1, None], cuts[1:, None]
+    return ((a + b) / 2 + (b - a) / 2 * x).ravel(), ((b - a) / 2 * w).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 # start-up and not the first draw pays for it
 import numpy.random  # noqa: F401
 
-from ._numerics import brentq, cumulative_simpson, pchip_coefficients, quad
+from ._numerics import brentq, cumulative_simpson, gauss_legendre, pchip_coefficients, quad
 
 
 class InvalidParameterError(ValueError):
@@ -209,14 +209,18 @@ class RadialDensity:
     def _normalize(self) -> float:
         """Normalizing constant by radial quadrature: C^-1 = s_{d-1} int r^{d-1} g."""
         s = sphere_surface_area(self.d)
-        val, _ = quad(lambda r: r ** (self.d - 1) * float(self._g(r)), 0, np.inf, limit=400)
+        val, _ = quad(lambda r: r ** (self.d - 1) * float(self._g(r)), 0, limit=400)
         if not np.isfinite(val) or val <= 0:
             raise InvalidParameterError("density does not normalize")
         return 1.0 / (s * val)
 
     # -- tail ----------------------------------------------------------------
+    def _tail_ratio(self, R: float, v: np.ndarray) -> np.ndarray:
+        """(1 + v/R)^{d-1} g(R+v)/g(R): T times the density of ||X|| - R given ||X|| >= R."""
+        return ((R + v) / R) ** (self.d - 1) * np.exp(self._log_g(R + v) - float(self._log_g(R)))
+
     def _tail_ratio_integral(self, R: float) -> float:
-        """T = int_0^inf (1 + v/R)^{d-1} g(R+v)/g(R) dv (well scaled), memoized per R.
+        """T = int_0^inf _tail_ratio(R, v) dv (well scaled), memoized per R.
 
         Worker threads share the memo: a value is stored only once complete,
         so a race at worst recomputes it.
@@ -224,23 +228,13 @@ class RadialDensity:
         cached = self._tail_integral_cache.get(R)
         if cached is not None:
             return cached
-        logg_R = float(self._log_g(R))
-
-        def w(v):
-            # one call per rule on all its nodes; the Jacobian is a float
-            # power per node, as scalar calls had it, since numpy's vector
-            # power can differ from it in the last bit
-            jac = [((R + x) / R) ** (self.d - 1) for x in v.tolist()]
-            return np.multiply(jac, np.exp(self._log_g(R + v) - logg_R))
-
-        # piecewise quadrature over log-spaced segments: the integrand can
-        # spread its mass across many decades for slowly decaying tails
+        # a 20-point rule on each of 64 log-spaced segments: the integrand
+        # varies on the scale R and can spread its mass across many decades
+        # for slowly decaying tails
         hi = self._delta_hi(R)
-        cuts = np.concatenate([[0.0], np.geomspace(hi * 1e-14, hi, 64)])
-        total = 0.0
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            seg, _ = quad(w, a, b, limit=100, vectorized=True)
-            total += seg
+        cuts = np.concatenate([[0.0], np.geomspace(min(hi * 1e-14, R * 1e-3), hi, 64)])
+        v, w = gauss_legendre(cuts, 20)
+        total = float(w @ self._tail_ratio(R, v))
         if len(self._tail_integral_cache) > _TAIL_CACHE_SIZE:
             self._tail_integral_cache.clear()
         self._tail_integral_cache[R] = total
@@ -305,20 +299,15 @@ class RadialDensity:
         cached = self._exterior_cache.get(R)
         if cached is not None:
             return cached
-        logg_R = float(self._log_g(R))
-
-        def w(v):
-            v = np.asarray(v, dtype=float)
-            return ((R + v) / R) ** (self.d - 1) * np.exp(self._log_g(R + v) - logg_R)
-
         hi = self._delta_hi(R)
         total = self._tail_ratio_integral(R)
-        # w(0) = 1 and the mass sits within ~total of the boundary: anchor there
+        # the ratio is 1 at v = 0 and the mass sits within ~total of the
+        # boundary: anchor there
         lo = min(total, hi) * 1e-9
         grid = np.concatenate([[0.0], np.geomspace(lo, hi, _TABLE_SIZE)])
-        vals = w(grid)
-        cdf = cumulative_simpson(vals, grid)
-        inv = _InverseCdf(r=grid, cdf=np.clip(cdf / total, 0.0, 1.0))
+        cdf = cumulative_simpson(self._tail_ratio(R, grid), grid)
+        # normalized by its own last value, so that the table's CDF ends at 1
+        inv = _InverseCdf(r=grid, cdf=cdf / cdf[-1])
         if len(self._exterior_cache) > 32:
             self._exterior_cache.clear()
         self._exterior_cache[R] = (inv, total)

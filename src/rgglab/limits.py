@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._numerics import gauss_legendre
 from .atlas import GraphShape, build_atlas
 from .densities import (
     InvalidParameterError,
@@ -410,7 +411,7 @@ def self_similarity_report(params: OracleParams) -> dict:
 # (the radial mass spans many decades), and the partial rings of a disk are
 # integrated in theta with s = mid - half cos(theta), which absorbs the
 # square-root ends of the ring fraction at s = |r - t| and s = r + t.
-_GL_SEGMENT = np.polynomial.legendre.leggauss(12)
+_GL_SEGMENT = 12            # nodes per segment of the composite rule
 _GL_LENS = np.polynomial.legendre.leggauss(64)
 _FULL_CUTS = np.concatenate([[0.0], np.geomspace(2.0 ** -40, 1.0, 41)])
 _OUTER_TAIL = 1e-16        # radial mass left beyond the outer rule, relative
@@ -440,13 +441,6 @@ class PairCumulants:
     @property
     def skewness_se(self) -> float:
         return self.kappa3_se / self.kappa2 ** 1.5
-
-
-def _segment_rule(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the segments between cuts."""
-    x, w = _GL_SEGMENT
-    a, b = cuts[:-1, None], cuts[1:, None]
-    return ((a + b) / 2 + (b - a) / 2 * x).ravel(), ((b - a) / 2 * w).ravel()
 
 
 def _ring_fraction(s: np.ndarray, r: np.ndarray, t: float) -> np.ndarray:
@@ -484,7 +478,7 @@ class _PairIntegrals:
         kinks = [b - R for b in (t - R, t, t + R) if R < b < r_hi]
         cuts = R + np.unique(np.concatenate(
             [[0.0], np.geomspace(v0, r_hi - R, steps + 1), kinks]))
-        r, w = _segment_rule(cuts)
+        r, w = gauss_legendre(cuts, _GL_SEGMENT)
         return r, w * self.nu(r)
 
     def ring_rule(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +497,7 @@ class _PairIntegrals:
         # full rings: s in [R, t - r] lies wholly inside the disk
         span = np.clip(t - r - R, 0.0, None)
         if np.any(span > 0):
-            u, wu = _segment_rule(_FULL_CUTS)
+            u, wu = gauss_legendre(_FULL_CUTS, _GL_SEGMENT)
             s_full = R + span * u
             S = np.concatenate([s_full, S], axis=1)
             W = np.concatenate([span * wu * self.nu(s_full), W], axis=1)

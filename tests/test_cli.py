@@ -204,6 +204,15 @@ def test_oracle_subcommand(capsys):
     _, row = out.strip().splitlines()
     value = float(row.split(",")[2])
     assert value == pytest.approx(math.pi ** 2 / 6, rel=0.05)
+    # the Brownian check prints its scalar fields as JSON, and its verdict is the exit code
+    code, out, _ = run_cli(capsys, "oracle", "--kind", "brownian", "--d", "2", "--k", "2",
+                           "--ell", "2", "--alpha", "4", "--t-grid", "0.5,1.0",
+                           "--samples", "50000", "--seed", "1")
+    report = json.loads(out)
+    assert set(report) == {"K_hat", "K_se", "exponent", "max_z", "mode", "passed"}
+    assert report["mode"] == "plus" and report["exponent"] == 2
+    assert report["passed"] is True and code == 0
+    assert report["K_hat"] == pytest.approx(math.pi ** 2 / 6, rel=0.05)
 
 
 def test_regime_subcommand(capsys):
@@ -266,6 +275,16 @@ def test_experiment_set_override(capsys, tmp_path):
     assert code == 0
     echoed = parse_config(out_dir / "effective_config.ini")
     assert echoed.experiment.replications == 25
+    # --seed sets the master seed, as the same override through --set does
+    runs = []
+    for flags in (["--seed", "5"], ["--set", "experiment.master_seed=5"]):
+        out_dir = tmp_path / flags[0].strip("-")
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                             "--out", str(out_dir), *flags)
+        assert code == 0
+        assert parse_config(out_dir / "effective_config.ini").experiment.master_seed == 5
+        runs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert runs[0] == runs[1]
 
 
 def test_missing_field_exit_2_no_partial_output(capsys, tmp_path):
@@ -322,6 +341,26 @@ def test_readme_ini_example_parses():
     assert parsed.experiment.density.family == "power"
     assert parsed.experiment.shape.k == 2
     assert parsed.experiment.band == (0.8, 1.2)
+
+
+def test_shipped_config_parses_and_echoes():
+    """``configs/heavy_sparse_clt.ini`` parses, classification range
+    included, and its echo re-parses to the same run."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "heavy_sparse_clt.ini"
+    parsed = parse_config(path)
+    cfg = parsed.experiment
+    assert parsed.kind == "clt"
+    assert cfg.classify_n_range == (1e2, 1e6)
+    echoed = parse_config(text=parsed.echo())
+    assert echoed.echo() == parsed.echo()
+    again = echoed.experiment
+    for name in ("n_ladder", "replications", "master_seed", "workers", "oracle_samples",
+                 "t_ref", "band", "annulus", "classify_n_range", "kmax_census", "schedule"):
+        assert getattr(again, name) == getattr(cfg, name), name
+    assert np.array_equal(again.t_grid, cfg.t_grid)
+    assert (again.density.family, again.density.d, again.density.alpha, again.density.C) == \
+        (cfg.density.family, cfg.density.d, cfg.density.alpha, cfg.density.C)
+    assert again.shape.canonical_form == cfg.shape.canonical_form
 
 
 def test_usage_error_exit_2(capsys):

@@ -141,6 +141,11 @@ def test_mixture_weights(k2):
     mix3 = mixture_covariance("critical", base, xi=1.0)
     b1 = covariance_L(params(k2, ell=1, n=50_000, seed=11 + 1))
     assert np.allclose(mix3.matrix, block.matrix + b1.matrix, rtol=1e-12)
+    # dense with K=1, L=inf is exactly the ell=1 block (weight one)
+    mix_dense = mixture_covariance("dense", base)
+    assert np.array_equal(mix_dense.matrix, b1.matrix)
+    assert np.array_equal(mix_dense.std_err, b1.std_err)
+    assert mix_dense.provenance["formula"] == "mixture_heavy_dense"
     # a set c selects the light family: the annulus restricts the M blocks
     light = params(k2, c=1.0, n=50_000, seed=11, annulus=(0.0, 0.7))
     mix4 = mixture_covariance("sparse", light)
