@@ -56,6 +56,7 @@ from .regimes import (
 # always persisted so the flag can be re-evaluated after the fact
 GOF_P_THRESHOLD = 0.01
 GOF_MIN_EXPECTED = 5.0   # fewest expected counts per chi-square bin
+_TAIL_BLOCK = 64         # Poisson tail terms summed per step
 BAND_FRACTION = 0.9
 # most grid cubes a core-coverage rung may enumerate; a larger rung raises
 # ExperimentError before it draws any cloud
@@ -390,6 +391,19 @@ def _poisson_pmf(k, mu) -> np.ndarray:
     return np.clip(np.exp(k_log_mu - log_gamma - mu), 0, 1)
 
 
+def _poisson_upper_tail(kmax: int, mu: float) -> float:
+    """P(X > kmax) for X ~ Poisson(mu) with kmax >= mu, summed term by term
+    until the (falling) terms vanish against the sum; taking it as one less
+    the lower terms would cancel."""
+    total, lo = 0.0, kmax + 1
+    while True:
+        terms = _poisson_pmf(np.arange(lo, lo + _TAIL_BLOCK), mu)
+        total += terms.sum()
+        if terms[-1] <= total * np.finfo(float).eps:
+            return total
+        lo += _TAIL_BLOCK
+
+
 def _chi2_sf(x: float, dof: int) -> float:
     """Chi-square survival function P(X > x) for an integer dof >= 1; 1 for x <= 0.
 
@@ -414,7 +428,7 @@ def poisson_gof(counts: np.ndarray) -> dict:
     kmax = int(counts.max())
     obs = np.bincount(counts, minlength=kmax + 2).astype(float)
     exp = _poisson_pmf(np.arange(kmax + 2), lam) * n
-    exp[-1] = max(n - exp[:-1].sum(), 0.0)   # lump the upper tail
+    exp[-1] = n * _poisson_upper_tail(kmax, lam)   # lump the upper tail
     merged_obs, merged_exp = [], []
     acc_o = acc_e = 0.0
     for o, e in zip(obs, exp):

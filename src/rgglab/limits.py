@@ -126,16 +126,50 @@ class LimitCovariance:
 # configuration sampling and indicator evaluation
 # ---------------------------------------------------------------------------
 
-def _ball_points(rng, count: int, m: int, d: int, radius: float):
-    """(count, m, d) vectors uniform in B(0, radius)."""
+def _ball_draws(rng, count: int, m: int, d: int, radius: float):
+    """The variates of ``_ball_points`` before scaling: (count, m, d) Gaussian
+    directions, then (count, m) radii, drawn in that order."""
     if m == 0:
-        return np.empty((count, 0, d))
+        return np.empty((count, 0, d)), np.empty((count, 0))
     z = rng.standard_normal((count, m, d))
     r = rng.random(count * m)
     r **= 1.0 / d
     r *= radius
-    _scale_directions(z.reshape(count * m, d), r)
+    return z, r.reshape(count, m)
+
+
+def _scale_points(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (N, m, d) points ``z / |z| * r`` of ``_ball_draws``' variates, in
+    place; a zero direction stays at the origin."""
+    _scale_directions(z.reshape(-1, z.shape[2]), r.reshape(-1))
     return z
+
+
+def _ball_points(rng, count: int, m: int, d: int, radius: float):
+    """(count, m, d) vectors uniform in B(0, radius)."""
+    return _scale_points(*_ball_draws(rng, count, m, d, radius))
+
+
+def _within_reach(draws, k: int, t_max: float) -> np.ndarray:
+    """Indices of the rows of ``_ball_draws``' variates whose points could
+    all belong to a k-point configuration connected at ``t_max``, before any
+    point is scaled.
+
+    Such a configuration lies within (k - 1) t_max of its first point, the
+    origin.  The relative slack covers the rounding of the scaled points and
+    of their distances; the floor keeps squared distances clear of underflow,
+    which would read them short.  A point with a zero direction sits at the
+    origin whatever its radius, so it never rejects its row.
+    """
+    reach = max((k - 1) * t_max * (1 + 1e-9), 1e-100)
+    far = np.zeros(len(draws[0][1]), dtype=bool)
+    for z, r in draws:
+        for j in range(r.shape[1]):
+            beyond = r[:, j] > reach
+            if not z[:, j].all():
+                beyond &= z[:, j].any(axis=1)
+            far |= beyond
+    return np.flatnonzero(~far)
 
 
 def _mode_values(atlas, shape: GraphShape, configs: np.ndarray,
@@ -178,6 +212,23 @@ def _accumulate(sum_m, sq_m, w, a1, a2):
     sq_m += 0.25 * (e2 + e2.T) + 0.5 * cross
 
 
+def _light_weights(rho, cinv, annulus, proj_shared, proj_z1, proj_z2):
+    """Per-draw weights exp(-(1/c) sum <e1, y_i>) of the light family on the
+    support rho + <e1, y_i>/c >= 0, restricted to the annulus domain when one
+    is set; each ``proj_*`` holds the first coordinates of a point group."""
+    proj_all = np.concatenate([proj_shared, proj_z1, proj_z2], axis=1)
+    support = np.all(rho[:, None] + cinv * proj_all >= 0, axis=1)
+    if annulus is not None:
+        K, L = annulus
+        for proj_z in (proj_z1, proj_z2):
+            sat = np.concatenate([proj_shared, proj_z], axis=1)
+            m = np.maximum(rho, rho + cinv * sat.max(axis=1, initial=0.0))
+            support &= (K <= m) & (m < L)
+    # Off the support the exponential overflows at small c, and inf * 0 would
+    # be NaN, so the support goes in first.
+    return np.exp(np.where(support, -cinv * proj_all.sum(axis=1), -np.inf))
+
+
 def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovariance:
     d, k, ell = params.d, params.k, params.ell
     grid = params.t_grid
@@ -208,6 +259,7 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
             "annulus restriction enters the heavy-tail blocks through closed-form "
             "weights; pass it to mixture_covariance instead")
 
+    top = np.array([t_max])
     rng = np.random.default_rng(params.seed)
     sum_m = np.zeros((T, T))
     sq_m = np.zeros((T, T))
@@ -215,38 +267,46 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
     while remaining > 0:
         count = min(_CHUNK, remaining)
         remaining -= count
-        shared = _ball_points(rng, count, n_shared, d, radius)
-        z1 = _ball_points(rng, count, n_z, d, radius)
-        z2 = _ball_points(rng, count, n_z, d, radius)
-        # the configurations (0, shared, z1) and (0, shared, z2) share one buffer
-        cfg = np.empty((count, k, d))
-        cfg[:, 0] = 0.0
-        cfg[:, 1:ell] = shared
-        cfg[:, ell:] = z1
-        a1 = _mode_values(atlas, params.shape, cfg, grid, mode).astype(float)
+        draws = [_ball_draws(rng, count, m, d, radius) for m in (n_shared, n_z, n_z)]
+        rho = rng.exponential(1.0 / rate, size=count) if light else None
+        # Every grid graph is a subgraph of the one at t_max, so a draw whose
+        # configurations are not both the shape or denser there reads 0 at
+        # every t in every mode.  Such draws are rejected before they are
+        # classified: first by radius, then by the plus mode at t_max.
+        rows = _within_reach(draws, k, t_max)
+        shared, z1, z2 = (_scale_points(z[rows], r[rows]) for z, r in draws)
+        # the configurations (0, shared, z1) and (0, shared, z2)
+        cfg1 = np.zeros((rows.size, k, d))
+        cfg1[:, 1:ell] = shared
+        cfg1[:, ell:] = z1
+        live = np.flatnonzero(_mode_values(atlas, params.shape, cfg1, top, "plus")[:, 0])
+        cfg1 = cfg1[live]
         if n_z == 0:    # ell = k: no z points, so both configurations are the first
-            a2 = a1
+            cfg2 = cfg1
         else:
-            cfg[:, ell:] = z2
-            a2 = _mode_values(atlas, params.shape, cfg, grid, mode).astype(float)
+            cfg2 = cfg1.copy()
+            cfg2[:, ell:] = z2[live]
+            on = _mode_values(atlas, params.shape, cfg2, top, "plus")[:, 0]
+            live, cfg1, cfg2 = live[on], cfg1[on], cfg2[on]
+        a1 = _mode_values(atlas, params.shape, cfg1, grid, mode).astype(float)
+        a2 = a1 if n_z == 0 else _mode_values(
+            atlas, params.shape, cfg2, grid, mode).astype(float)
         if light:
-            rho = rng.exponential(1.0 / rate, size=count)
-            proj_shared = shared[:, :, 0] if n_shared else np.zeros((count, 0))
-            proj_z1 = z1[:, :, 0] if n_z else np.zeros((count, 0))
-            proj_z2 = z2[:, :, 0] if n_z else np.zeros((count, 0))
-            proj_all = np.concatenate([proj_shared, proj_z1, proj_z2], axis=1)
-            w = np.exp(-cinv * proj_all.sum(axis=1))
-            w *= np.all(rho[:, None] + cinv * proj_all >= 0, axis=1)
-            if annulus is not None:
-                K, L = annulus
-                sat1 = np.concatenate([proj_shared, proj_z1], axis=1)
-                sat2 = np.concatenate([proj_shared, proj_z2], axis=1)
-                top1 = cinv * sat1.max(axis=1, initial=0.0)
-                top2 = cinv * sat2.max(axis=1, initial=0.0)
-                m1 = np.maximum(rho, rho + top1)
-                m2 = np.maximum(rho, rho + top2)
-                w *= (K <= m1) & (m1 < L) & (K <= m2) & (m2 < L)
+            # Weighted sums are rounded, so they run on full-length operands
+            # with zero rows for the rejected draws, as if each were classified.
+            hit = rows[live]
+
+            def full(x):
+                out = np.zeros((count,) + x.shape[1:])
+                out[hit] = x
+                return out
+
+            w = _light_weights(rho, cinv, annulus, full(cfg1[:, 1:ell, 0]),
+                               full(cfg1[:, ell:, 0]), full(cfg2[:, ell:, 0]))
+            a1 = full(a1)
+            a2 = a1 if n_z == 0 else full(a2)
         else:
+            # unit-weight sums are exact integers, which zero rows leave alone
             w = None
         _accumulate(sum_m, sq_m, w, a1, a2)
 

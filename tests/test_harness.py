@@ -20,6 +20,7 @@ from rgglab.harness import (
     ExperimentError,
     _chi2_sf,
     _poisson_pmf,
+    _poisson_upper_tail,
     cubes_inside_ball,
     palm_expectation,
     palm_mean_check,
@@ -145,6 +146,21 @@ def test_poisson_gof_calibration():
     assert poisson_gof(true_pois)["p_value"] > 0.001
     overdispersed = rng.poisson(3.0, size=2000) + 3 * rng.poisson(0.35, size=2000)
     assert poisson_gof(overdispersed)["p_value"] < 1e-4
+
+
+def test_poisson_gof_lumped_tail_matches_scipy():
+    # the lumped upper bin is n P(X > kmax), summed directly: one less the
+    # lower terms lost 4.5e-12 relative to cancellation on the overdispersed
+    # sample of test_poisson_gof_calibration
+    rng = np.random.default_rng(2)
+    rng.poisson(3.0, size=2000)
+    overdispersed = rng.poisson(3.0, size=2000) + 3 * rng.poisson(0.35, size=2000)
+    n, kmax, lam = 2000, int(overdispersed.max()), overdispersed.mean()
+    assert n * _poisson_upper_tail(kmax, lam) == pytest.approx(
+        n * stats.poisson.sf(kmax, lam), rel=1e-13, abs=0)
+    for kmax, lam in [(0, 0.0), (5, 0.1), (12, 3.0), (30, 29.5), (200, 150.3)]:
+        assert _poisson_upper_tail(kmax, lam) == pytest.approx(
+            stats.poisson.sf(kmax, lam), rel=1e-13, abs=0), (kmax, lam)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-3, 0.37, 1.0, 4.85, 19.0, 120.5])

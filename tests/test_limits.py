@@ -24,7 +24,10 @@ from rgglab.limits import (
     mixture_covariance,
     self_similarity_report,
     _accumulate,
+    _ball_draws,
     _ball_points,
+    _scale_points,
+    _within_reach,
 )
 from rgglab.atlas import h_minus, h_plus, h_t, named_shape
 
@@ -285,7 +288,7 @@ def _einsum_reference(p: OracleParams, mode: str, light: bool):
     return scale * mean, scale * np.sqrt(var / N)
 
 
-def test_oracle_matches_einsum_reference(path3):
+def test_oracle_matches_einsum_reference(path3, k2):
     # 40 000 samples cross the 2^15 chunk boundary; the grid includes t = 0
     grid = (0.0, 0.5, 1.0, 1.5)
     cases = [(params(path3, ell=ell, grid=grid, n=40_000, seed=21 + ell), mode, False)
@@ -293,12 +296,82 @@ def test_oracle_matches_einsum_reference(path3):
     cases += [(params(path3, ell=ell, c=1.0, grid=grid, n=40_000, seed=31 + ell,
                       annulus=annulus), "h", True)
               for ell in (1, 2, 3) for annulus in (None, (0.7, 2.0))]
+    # K2 on critical-k2's grid
+    critical = (0.5, 0.75, 1.0, 1.25, 1.5)
+    cases += [(params(k2, ell=ell, grid=critical, n=40_000, seed=51 + ell), mode, False)
+              for ell in (1, 2) for mode in ("h", "plus")]
+    cases += [(params(k2, ell=1, c=0.5, grid=critical, n=40_000, seed=53), "h", True)]
+    # d = 1 and d = 3 (the 3-path's ell = 1 block gets no hit in d = 3 at this
+    # size, so K2 stands in for it there)
+    cases += [(params(path3, d=1, ell=ell, grid=grid, n=40_000, seed=61 + ell), "h", False)
+              for ell in (1, 2, 3)]
+    cases += [(params(path3, d=1, ell=2, c=1.0, grid=grid, n=40_000, seed=65), "plus", True)]
+    cases += [(params(path3, d=3, ell=ell, grid=grid, n=40_000, seed=71 + ell), "h", False)
+              for ell in (2, 3)]
+    cases += [(params(k2, d=3, ell=1, grid=grid, n=40_000, seed=74), "h", False),
+              (params(path3, d=3, ell=3, c=1.0, grid=grid, n=40_000, seed=75), "h", True)]
+    # an unsorted grid
+    unsorted = (1.5, 0.25, 1.0, 0.5)
+    cases += [(params(path3, ell=2, grid=unsorted, n=40_000, seed=81), "minus", False),
+              (params(path3, ell=2, c=1.0, grid=unsorted, n=40_000, seed=82,
+                      annulus=(0.7, 2.0)), "h", True)]
     for p, mode, light in cases:
         got = (covariance_M if light else covariance_L)(p, mode=mode)
         matrix, std_err = _einsum_reference(p, mode, light)
-        assert got.matrix.any(), (p.ell, mode, light, p.annulus)
-        assert np.array_equal(got.matrix, matrix), (p.ell, mode, light, p.annulus)
-        assert np.array_equal(got.std_err, std_err), (p.ell, mode, light, p.annulus)
+        case = (p.d, p.k, p.ell, p.t_grid, mode, light, p.annulus)
+        assert got.matrix.any(), case
+        assert np.array_equal(got.matrix, matrix), case
+        assert np.array_equal(got.std_err, std_err), case
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_radius_prefilter_keeps_what_can_connect(k):
+    t_max, d = 1.5, 2
+    reach = (k - 1) * t_max
+    e1 = np.array([3.7, 0.0])      # normalizes to exactly (1, 0)
+    z = np.tile(e1, (4, k - 1, 1))
+    # row 0: a chain spaced exactly t_max along e_1, ending at radius (k-1) t_max
+    r = np.tile(t_max * np.arange(1.0, k), (4, 1))
+    # row 1: a zero direction far beyond reach, which leaves its point at the origin
+    z[1, 0] = 0.0
+    r[1, 0] = 10 * reach
+    # rows 2 and 3: a point beyond reach rejects its row, from either group
+    r[2, -1] = 1.01 * reach
+    r[3, 0] = 1.01 * reach
+    rows = _within_reach([(z[:, :1], r[:, :1]), (z[:, 1:], r[:, 1:])], k, t_max)
+    assert rows.tolist() == [0, 1]
+    pts = _scale_points(z.copy(), r.copy())
+    assert np.array_equal(pts[0, :, 0], t_max * np.arange(1.0, k))
+    assert not pts[1, 0].any()
+    chain = np.concatenate([np.zeros((1, d)), pts[0]])[None]
+    shape = named_shape(k, "path")
+    # consecutive points lie at exactly t_max, and the chain reads connected there
+    assert np.all(np.diff(chain[0, :, 0]) == t_max)
+    assert indicator_values(shape, chain, [t_max], "h").all()
+    assert not indicator_values(shape, chain, [np.nextafter(t_max, 0)], "plus").any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radius_prefilter_rejects_only_dead_rows(d, path3):
+    # every rejected row, once scaled, reads 0 in the plus mode at t_max
+    t_max, count = 1.0, 20_000
+    rng = np.random.default_rng(d)
+    draws = [_ball_draws(rng, count, 2, d, 3 * t_max)]
+    rows = _within_reach(draws, 3, t_max)
+    assert 0 < rows.size < count
+    dead = np.setdiff1d(np.arange(count), rows)
+    pts = _scale_points(*draws[0])
+    cfg = np.concatenate([np.zeros((count, 1, d)), pts], axis=1)
+    assert not indicator_values(path3, cfg[dead], [t_max], "plus").any()
+    assert indicator_values(path3, cfg[rows], [t_max], "plus").any()
+
+
+def test_light_oracle_finite_at_small_c(k2):
+    # off the support exp(-(1/c) sum <e1, y_i>) overflows at small c; the
+    # support must zero it before inf * 0 turns the block into NaN
+    small = covariance_M(params(k2, c=0.002, grid=(0.5, 1.0), n=20_000, seed=3))
+    assert np.all(np.isfinite(small.matrix)) and np.all(np.isfinite(small.std_err))
+    assert np.all(small.matrix > 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
