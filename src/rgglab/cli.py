@@ -53,7 +53,6 @@ from .densities import (
 from .harness import (
     ExperimentError,
     palm_mean_check,
-    run_annuli_census_experiment,
     run_clt_experiment,
     run_core_experiment,
     run_poisson_layer_experiment,
@@ -255,30 +254,21 @@ _PASS_FLAGS = {
     "poisson_layer": ("top_dispersion_in_band", "top_gof_p_ok"),
     "core": ("frequency_nondecreasing", "radius_monotone_all"),
     "palm": ("mean_within_3se", "joint_within_3se"),
-    "annuli_census": ("all_nonnegative",),
 }
 
 
 def _cmd_experiment(args) -> int:
     parsed = parse_config(path=args.config, overrides=args.set or [])
-    cfg = parsed.experiment
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.seed is not None:
-        cfg.master_seed = args.seed
     out_dir = Path(args.out) if args.out else None
 
     # built per call, so each runner is read from the module globals at call time
     runners = {"clt": run_clt_experiment, "poisson_layer": run_poisson_layer_experiment,
-               "core": run_core_experiment, "annuli_census": run_annuli_census_experiment,
-               "palm": palm_mean_check}
-    report = runners[parsed.kind](cfg)
+               "core": run_core_experiment, "palm": palm_mean_check}
+    report = runners[parsed.kind](parsed.experiment)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        # echo the effective config (with overrides and CLI adjustments applied)
-        parsed.raw["experiment"]["workers"] = str(cfg.workers)
-        parsed.raw["experiment"]["master_seed"] = str(cfg.master_seed)
+        # echo the effective config, with the --set overrides applied
         (out_dir / "effective_config.ini").write_text(parsed.echo())
         write_report(report, out_dir)
     passed = all(bool(report.flags[name]) for name in _PASS_FLAGS[parsed.kind]
@@ -372,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="section.key=value",
                    help="override a config field (repeatable)")
     p.add_argument("--out")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -24,7 +24,6 @@ from .densities import (
     PowerSchedule,
     RadialDensity,
     RadiusSchedule,
-    TableSchedule,
     VonMisesDensity,
     WeakCoreSchedule,
 )
@@ -37,12 +36,11 @@ class ConfigError(ValueError):
 
 _SCHEMA = {
     "density": {"family", "d", "alpha", "tau"},
-    "schedule": {"kind", "beta", "c0", "k", "delta1", "delta2", "entries"},
+    "schedule": {"kind", "beta", "c0", "k", "delta1", "delta2"},
     "shape": {"k", "name", "edges"},
     "experiment": {
         "kind", "t_grid", "n_ladder", "replications", "master_seed", "workers",
-        "oracle_samples", "t_ref", "band", "annulus", "classify_lo",
-        "classify_hi", "kmax_census",
+        "oracle_samples", "t_ref", "band", "annulus", "classify_n_range",
     },
 }
 _REQUIRED = {
@@ -51,7 +49,7 @@ _REQUIRED = {
     "shape": {"k"},
     "experiment": {"kind", "t_grid", "n_ladder", "replications"},
 }
-EXPERIMENT_KINDS = ("clt", "poisson_layer", "core", "annuli_census", "palm")
+EXPERIMENT_KINDS = ("clt", "poisson_layer", "core", "palm")
 
 
 @dataclass
@@ -152,20 +150,6 @@ def build_schedule(parser: configparser.ConfigParser) -> RadiusSchedule:
         return PoissonLayerSchedule(k=_int("schedule", "k", sec.get("k", "2")))
     if kind == "log_band":
         return LogBandSchedule(beta=_float("schedule", "beta", sec.get("beta", "0.45")))
-    if kind == "table":
-        if "entries" not in sec:
-            raise ConfigError("[schedule] table kind needs entries")
-        pairs = []
-        for item in sec["entries"].split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if ":" not in item:
-                raise ConfigError("[schedule] entries must look like n:R, n:R, ...")
-            n_raw, r_raw = item.split(":", 1)
-            pairs.append((_float("schedule", "entries", n_raw),
-                          _float("schedule", "entries", r_raw)))
-        return TableSchedule(entries=tuple(pairs))
     raise ConfigError(f"[schedule] unknown kind {kind!r}")
 
 
@@ -249,11 +233,8 @@ def parse_config(path: Path | str | None = None, text: str | None = None,
         if not annulus[0] < annulus[1]:
             raise ConfigError(f"[experiment] annulus: needs K < L, got {sec['annulus']!r}")
     classify = None
-    if "classify_lo" in sec or "classify_hi" in sec:
-        if not ("classify_lo" in sec and "classify_hi" in sec):
-            raise ConfigError("[experiment] classify_lo and classify_hi go together")
-        classify = (_float("experiment", "classify_lo", sec["classify_lo"]),
-                    _float("experiment", "classify_hi", sec["classify_hi"]))
+    if "classify_n_range" in sec:
+        classify = _float_pair("experiment", "classify_n_range", sec["classify_n_range"])
 
     try:
         experiment = ExperimentConfig(
@@ -266,7 +247,6 @@ def parse_config(path: Path | str | None = None, text: str | None = None,
                                 sec.get("oracle_samples", "400000")),
             t_ref=_float("experiment", "t_ref", sec.get("t_ref", "1.0")),
             band=band, annulus=annulus, classify_n_range=classify,
-            kmax_census=_int("experiment", "kmax_census", sec.get("kmax_census", "3")),
         )
     except Exception as exc:
         raise ConfigError(str(exc)) from exc

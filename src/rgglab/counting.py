@@ -296,36 +296,6 @@ def count_subgraphs_exhaustive(cloud: PointCloud, req: CountRequest) -> Counting
 
 
 # ---------------------------------------------------------------------------
-# layered census over an annulus ladder
-# ---------------------------------------------------------------------------
-
-def annuli_census(cloud: PointCloud, shapes: dict[int, GraphShape],
-                  ladder: np.ndarray, t: float) -> dict:
-    """Counts of each shape with its farthest point in each ladder annulus.
-
-    ``ladder`` is an ascending list of radii; annulus i spans
-    [ladder[i], ladder[i+1]) with the last annulus open to infinity.  Subsets
-    are restricted to lie entirely outside the lowest ladder radius, so the
-    rows partition the unrestricted exterior counts by Max-norm shell.
-    """
-    ladder = np.asarray(ladder, dtype=float)
-    if ladder.size == 0 or (ladder.size > 1 and not np.all(np.diff(ladder) > 0)):
-        raise InvalidRequestError("ladder must be nonempty ascending")
-    uppers = np.append(ladder[1:], np.inf)
-    base = float(ladder[0])
-    table = np.zeros((len(shapes), ladder.size), dtype=np.int64)
-    order = sorted(shapes)
-    for row, kk in enumerate(order):
-        shape = shapes[kk]
-        for col, (lo, hi) in enumerate(zip(ladder, uppers)):
-            req = CountRequest(shape=shape, t_grid=np.array([t]), R=base,
-                               annulus=(float(lo), float(hi)))
-            table[row, col] = count_subgraphs(cloud, req).counts[0]
-    return {"shapes": [shapes[kk] for kk in order], "ks": order,
-            "ladder": ladder, "t": t, "counts": table}
-
-
-# ---------------------------------------------------------------------------
 # binary cloud cache (fixed-width little-endian)
 # ---------------------------------------------------------------------------
 # layout: header <q q q> = (d, N, seed), then N*d float64 coordinates.

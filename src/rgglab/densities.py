@@ -290,7 +290,10 @@ class RadialDensity:
             r = inv.eval_chunk(u)
             beyond = u > inv.max_cdf
             if beyond.any():
-                r[beyond] = self._tail_inverse_asymptotic(1.0 - u[beyond])
+                # the asymptote can start below the table's last radius (von
+                # Mises); the clamp keeps the radius monotone in u at the join
+                r[beyond] = np.maximum(self._tail_inverse_asymptotic(1.0 - u[beyond]),
+                                       inv.r[-1])
             return r
 
         return self._points(rng, size, radius)
@@ -612,28 +615,6 @@ class LogBandSchedule(RadiusSchedule):
         arg = math.log(density.C) + math.log(n) \
             + self.beta * math.log(density.tau * math.log(n))
         return float(density.psi_inverse(arg))
-
-
-@dataclass(frozen=True)
-class TableSchedule(RadiusSchedule):
-    """Explicit (n -> R_n) table with log-log interpolation between entries."""
-
-    entries: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        ns = [e[0] for e in self.entries]
-        rs = [e[1] for e in self.entries]
-        ascending = all(a < b for a, b in zip(ns, ns[1:])) and \
-            all(a < b for a, b in zip(rs, rs[1:]))
-        if len(ns) < 1 or not ascending:
-            raise InvalidParameterError("table entries must strictly ascend in n and R")
-
-    def radius(self, density, n):
-        ns = np.array([e[0] for e in self.entries])
-        rs = np.array([e[1] for e in self.entries])
-        if not ns[0] <= n <= ns[-1]:
-            raise ScheduleUndefinedError(f"n={n} outside table range")
-        return float(np.exp(np.interp(np.log(n), np.log(ns), np.log(rs))))
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .atlas import GraphShape, build_atlas
-from .counting import (
-    CountRequest,
-    annuli_census,
-    count_decomposed,
-    subset_indicators,
-)
+from .atlas import GraphShape
+from .counting import CountRequest, count_decomposed, subset_indicators
 from .densities import (
     PoissonLayerSchedule,
     RadialDensity,
     RadiusSchedule,
     ScheduleUndefinedError,
-    poisson_layer_radius,
     sample_poisson_cloud,
     unit_ball_volume,
 )
@@ -82,7 +76,6 @@ class ExperimentConfig:
     band: tuple[float, float] = (0.8, 1.2)
     annulus: tuple[float, float] | None = None
     classify_n_range: tuple[float, float] | None = None
-    kmax_census: int = 3
 
     def __post_init__(self) -> None:
         self.t_grid = np.asarray(self.t_grid, dtype=float)
@@ -262,7 +255,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         kind="clt", rungs=rungs, flags=flags, seed_audit=_seed_audit(cfg),
         runtime_seconds=time.perf_counter() - started, oracle=oracle,
-        tables={"raw_rows": raw_rows, "regime": regime, "growth": growth},
+        tables={"raw_rows": raw_rows},
     )
     return report
 
@@ -328,7 +321,7 @@ def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
     shape, density, schedule = cfg.shape, cfg.density, cfg.schedule
     k = shape.k
     if k > 3:
-        raise ExperimentError("palm check limited to k <= 3 (quadrature cost)")
+        raise ExperimentError("palm check limited to k <= 3")
     n = cfg.n_ladder[-1]
     t, s = cfg.t_ref, 0.75 * cfg.t_ref
     R = schedule.radius(density, n)
@@ -551,53 +544,6 @@ def run_core_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# annuli census experiment
-# ---------------------------------------------------------------------------
-
-def run_annuli_census_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Layered census: counts of each complete shape per Poisson-layer annulus."""
-    started = time.perf_counter()
-    density = cfg.density
-    kmax = cfg.kmax_census
-    if kmax < 2:
-        raise ExperimentError("census needs kmax >= 2")
-    shapes = {}
-    for j in range(2, kmax + 1):
-        atlas = build_atlas(j)
-        shapes[j] = atlas.classes[-1]   # complete graph on j vertices
-    rungs = []
-    for rung_idx, n in enumerate(cfg.n_ladder):
-        ladder = np.array([poisson_layer_radius(density, n, j)
-                           for j in range(kmax, 1, -1)])
-
-        def work(rep, rng, _n=n, _ladder=ladder):
-            cloud = sample_poisson_cloud(_n, density, rng,
-                                         exterior_radius=float(_ladder[0]), seed=rep)
-            return annuli_census(cloud, shapes, _ladder, cfg.t_ref)["counts"]
-
-        tables = np.array(_run_replications(cfg, rung_idx, work), dtype=float)
-        mean_table = tables.mean(axis=0)
-        rungs.append({"n": n, "ladder": ladder, "mean_counts": mean_table,
-                      "total": float(mean_table.sum())})
-
-    # trend summaries: for shape j (row j-2), its own annulus starts at
-    # column kmax - j; cells to the right are beyond the next layer radius
-    trends = {}
-    for j in range(2, kmax + 1):
-        row = j - 2
-        own_col = kmax - j
-        own = [float(r["mean_counts"][row, own_col:].sum()) for r in rungs]
-        beyond = [float(r["mean_counts"][row, own_col + 1:].sum()) if own_col + 1
-                  <= kmax - 2 else 0.0 for r in rungs]
-        trends[j] = {"beyond_own_layer": own, "beyond_next_layer": beyond}
-    flags = {"all_nonnegative": all(np.all(r["mean_counts"] >= 0) for r in rungs)}
-    return ExperimentReport(kind="annuli_census", rungs=rungs, flags=flags,
-                            seed_audit=_seed_audit(cfg),
-                            runtime_seconds=time.perf_counter() - started,
-                            tables={"trends": trends, "shapes": shapes})
-
-
-# ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
@@ -651,20 +597,6 @@ def write_report(report: ExperimentReport, out_dir: Path) -> dict:
                 for rep, c in enumerate(rung["counts"]):
                     fh.write(f"{_fmt(rung['n'])},{rep},{int(c)}\n")
         files["layer_counts"] = raw
-    elif report.kind == "annuli_census":
-        census = out_dir / "census.csv"
-        with open(census, "w") as fh:
-            fh.write("n,shape_k,annulus_index,annulus_lo,mean_count\n")
-            for rung in report.rungs:
-                ladder = rung["ladder"]
-                table = rung["mean_counts"]
-                ks = sorted(report.tables["shapes"])
-                for row, kk in enumerate(ks):
-                    for col in range(table.shape[1]):
-                        fh.write(f"{_fmt(rung['n'])},{kk},{col},"
-                                 f"{_fmt(float(ladder[col]))},"
-                                 f"{_fmt(float(table[row, col]))}\n")
-        files["census"] = census
 
     summary = out_dir / "summary.csv"
     with open(summary, "w") as fh:

@@ -251,7 +251,7 @@ def test_experiment_workers_byte_identical(capsys, tmp_path):
     for workers in ("1", "8"):
         out_dir = tmp_path / f"w{workers}"
         code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
-                             "--out", str(out_dir), "--workers", workers)
+                             "--out", str(out_dir), "--set", f"experiment.workers={workers}")
         assert code == 0
         blobs = {}
         for p in sorted(out_dir.iterdir()):
@@ -275,16 +275,38 @@ def test_experiment_set_override(capsys, tmp_path):
     assert code == 0
     echoed = parse_config(out_dir / "effective_config.ini")
     assert echoed.experiment.replications == 25
-    # --seed sets the master seed, as the same override through --set does
-    runs = []
-    for flags in (["--seed", "5"], ["--set", "experiment.master_seed=5"]):
-        out_dir = tmp_path / flags[0].strip("-")
-        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
-                             "--out", str(out_dir), *flags)
-        assert code == 0
-        assert parse_config(out_dir / "effective_config.ini").experiment.master_seed == 5
-        runs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
-    assert runs[0] == runs[1]
+    out_dir = tmp_path / "seed"
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                         "--out", str(out_dir), "--set", "experiment.master_seed=5")
+    assert code == 0
+    assert parse_config(out_dir / "effective_config.ini").experiment.master_seed == 5
+    assert "seed_audit.master_seed: 5\n" in (out_dir / "report.txt").read_text()
+
+
+def test_removed_settings_exit_2(capsys, tmp_path):
+    """Settings that no longer exist are refused with exit code 2 and an
+    error message, never a traceback."""
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_CLT)
+    for flags, message in (
+        (["--set", "experiment.classify_lo=1e2"],
+         "configuration error: override names unknown field [experiment] classify_lo"),
+        (["--set", "experiment.kmax_census=3"],
+         "configuration error: override names unknown field [experiment] kmax_census"),
+        (["--set", "schedule.kind=table"], "configuration error: [schedule] unknown kind 'table'"),
+        (["--set", "experiment.kind=annuli_census"],
+         "configuration error: [experiment] unknown kind 'annuli_census'"),
+        (["--seed", "5"], "unrecognized arguments: --seed 5"),
+        (["--workers", "2"], "unrecognized arguments: --workers 2"),
+    ):
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), *flags)
+        assert code == 2 and out == "", flags
+        assert message in err and "Traceback" not in err, flags
+    for key in ("classify_lo", "kmax_census"):
+        cfg_path.write_text(SMALL_CLT.replace("[experiment]", f"[experiment]\n{key} = 3"))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert code == 2 and out == "", key
+        assert err == f"configuration error: unknown key {key!r} in section [experiment]\n"
 
 
 def test_missing_field_exit_2_no_partial_output(capsys, tmp_path):
@@ -320,12 +342,14 @@ def test_config_parser_validation(tmp_path):
     # family/parameter mismatches
     with pytest.raises(ConfigError):
         parse_config(text=SMALL_CLT.replace("alpha = 4.0", "tau = 1.0"))
-    # band and annulus take exactly two numbers; a band needs lo <= hi and an
-    # annulus K < L, which NaN and -inf bounds fail
+    # band, annulus and classify_n_range take exactly two numbers; a band
+    # needs lo <= hi and an annulus K < L, which NaN and -inf bounds fail
     for key, value in (("band", "0.5"), ("band", "0.5, 1, 2"), ("band", "nan, 2"),
                        ("band", "3, 2"), ("annulus", "1.0"),
                        ("annulus", "1.0, nan"), ("annulus", "1.0, -inf"),
-                       ("annulus", "nan, 2"), ("annulus", "2, 1")):
+                       ("annulus", "nan, 2"), ("annulus", "2, 1"),
+                       ("classify_n_range", "1e2"), ("classify_n_range", "1e2, 1e4, 1e6"),
+                       ("classify_n_range", "1e2, x")):
         with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: "):
             parse_config(text=SMALL_CLT, overrides=[f"experiment.{key}={value}"])
     parsed = parse_config(text=SMALL_CLT, overrides=["experiment.annulus=1.0, inf"])
@@ -355,7 +379,7 @@ def test_shipped_config_parses_and_echoes():
     assert echoed.echo() == parsed.echo()
     again = echoed.experiment
     for name in ("n_ladder", "replications", "master_seed", "workers", "oracle_samples",
-                 "t_ref", "band", "annulus", "classify_n_range", "kmax_census", "schedule"):
+                 "t_ref", "band", "annulus", "classify_n_range", "schedule"):
         assert getattr(again, name) == getattr(cfg, name), name
     assert np.array_equal(again.t_grid, cfg.t_grid)
     assert (again.density.family, again.density.d, again.density.alpha, again.density.C) == \
@@ -386,7 +410,7 @@ def _run_with_scipy_blocked(cwd, runs):
 
 
 def test_experiments_never_import_scipy_stats(tmp_path):
-    """All five experiment kinds run in a fresh interpreter in which
+    """All four experiment kinds run in a fresh interpreter in which
     ``import scipy`` fails; the chi-square p-value the Poisson-layer run
     reports is scipy's within 1e-12 relative."""
     for name, text in (("clt", SMALL_CLT), ("core", SMALL_CORE),
@@ -396,7 +420,6 @@ def test_experiments_never_import_scipy_stats(tmp_path):
         ["--config", "clt.ini", "--out", "clt"],
         ["--config", "core.ini", "--out", "core"],
         ["--config", "layer.ini", "--out", "layer"],
-        ["--config", "clt.ini", "--out", "census", "--set", "experiment.kind=annuli_census"],
         ["--config", "clt.ini", "--out", "palm", "--set", "experiment.kind=palm",
          "--set", "experiment.replications=10"],
     ]

@@ -17,7 +17,6 @@ from rgglab.counting import (
     CountRequest,
     CountingCurve,
     InvalidRequestError,
-    annuli_census,
     count_decomposed,
     count_subgraphs,
     count_subgraphs_exhaustive,
@@ -395,22 +394,22 @@ def test_binary_cache_roundtrip(tmp_path, rng):
     assert len(raw) == 24 + 17 * 3 * 8
 
 
-def test_census_basics(rng, k2, triangle):
+def test_annulus_shells_partition_exterior(rng, k2, triangle):
+    """Adjacent [lo, hi) shells on the farthest point's norm sum to the
+    exterior count, and a shell holding no point reads 0."""
     pts = np.concatenate([
         rng.normal(size=(30, 2)) * 0.5 + np.array([12.0, 0.0]),
         rng.normal(size=(30, 2)) * 0.5 + np.array([0.0, 25.0]),
     ])
     cloud = make_cloud(pts)
-    ladder = np.array([10.0, 20.0, 30.0])
-    out = annuli_census(cloud, {2: k2, 3: triangle}, ladder, t=1.0)
-    counts = out["counts"]
-    assert counts.shape == (2, 3)
-    assert np.all(counts >= 0)
-    # totals consistent with the unrestricted exterior count
-    for row, shape in enumerate(out["shapes"]):
-        req = CountRequest(shape=shape, t_grid=np.array([1.0]), R=10.0)
-        assert counts[row].sum() == count_subgraphs(cloud, req).counts[0]
-    # empty annulus -> zero column
-    ladder2 = np.array([10.0, 40.0, 50.0])
-    out2 = annuli_census(cloud, {2: k2}, ladder2, t=1.0)
-    assert out2["counts"][0, 1] == 0 and out2["counts"][0, 2] == 0
+    t_grid = np.array([0.5, 1.0])
+    edges = [10.0, 20.0, 30.0, np.inf]
+    for shape in (k2, triangle):
+        exterior = count_subgraphs(cloud, CountRequest(shape=shape, t_grid=t_grid, R=10.0))
+        shells = [count_subgraphs(cloud, CountRequest(shape=shape, t_grid=t_grid, R=10.0,
+                                                      annulus=(lo, hi))).counts
+                  for lo, hi in zip(edges, edges[1:])]
+        assert all(c[-1] > 0 for c in shells[:2])
+        assert np.array_equal(np.sum(shells, axis=0), exterior.counts)
+        empty = CountRequest(shape=shape, t_grid=t_grid, R=10.0, annulus=(40.0, 50.0))
+        assert np.array_equal(count_subgraphs(cloud, empty).counts, [0, 0])

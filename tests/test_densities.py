@@ -14,7 +14,6 @@ from rgglab.densities import (
     PowerLawDensity,
     PowerSchedule,
     ScheduleUndefinedError,
-    TableSchedule,
     UnsupportedOperationError,
     VonMisesDensity,
     WeakCoreSchedule,
@@ -288,13 +287,6 @@ def test_schedules(power24, vm21):
     assert all(a < b for a, b in zip(radii, radii[1:]))
     with pytest.raises(UnsupportedOperationError):
         band.radius(power24, 1e5)
-    table = TableSchedule(entries=((1e3, 5.0), (1e6, 20.0)))
-    assert table.radius(power24, 1e3) == pytest.approx(5.0)
-    assert 5.0 < table.radius(power24, 1e4) < 20.0
-    with pytest.raises(ScheduleUndefinedError):
-        table.radius(power24, 1e9)
-    with pytest.raises(InvalidParameterError):
-        TableSchedule(entries=((1e3, 5.0), (1e6, 4.0)))
 
 
 def test_exterior_sampler_law(vm21):
@@ -447,7 +439,7 @@ def _expected_sample(density, inv, shift, u, normals, tail):
     r = shift + np.asarray(_pchip_reference(inv, u), dtype=float)
     beyond = u > inv.max_cdf
     if tail and beyond.any():
-        r[beyond] = density._tail_inverse_asymptotic(1.0 - u[beyond])
+        r[beyond] = np.maximum(density._tail_inverse_asymptotic(1.0 - u[beyond]), inv.r[-1])
     return r[:, None] * _reference_directions(normals, u.size, density.d)
 
 
@@ -488,6 +480,30 @@ def test_sample_matches_reference(d):
             assert np.isnan(got[at[4:7]]).all() and not np.isnan(np.delete(got, at[4:7], 0)).any()
             if tail and density.family == "power":     # its full table ends short of 1
                 assert (u > top).sum() == 4
+
+
+def test_full_sample_tail_joins_table_monotonically():
+    """Past the table's last quantile the full sampler's radius starts at the
+    table's end and does not decrease in u: the von Mises asymptote alone
+    starts below it (319.69 against 320.0 for VonMisesDensity(1, 0.5))."""
+    for density in (VonMisesDensity(1, 0.5), VonMisesDensity(2, 1.0),
+                    PowerLawDensity(2, 4.0), PowerLawDensity(1, 3.0)):
+        inv = density._radial_inverse()
+        top = inv.max_cdf
+        assert top < 1.0
+        below = [top]
+        above = [np.nextafter(top, 1.0)]
+        for _ in range(40):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 1.0))
+        u = np.sort(np.concatenate([below, above, np.linspace(top, 1.0, 50)[1:-1],
+                                    [np.nextafter(1.0, 0.0)]]))
+        r = np.linalg.norm(density.sample(_ChosenUniforms(u, seed=3), u.size), axis=1)
+        # the norm of a scaled direction carries a few ulps of rounding
+        slack = 4 * np.spacing(r)
+        first_beyond = int(np.searchsorted(u, top, side="right"))
+        assert r[first_beyond] >= inv.r[-1] - slack[first_beyond], type(density).__name__
+        assert np.all(np.diff(r) >= -slack[1:]), type(density).__name__
 
 
 def test_point_cloud_norms_lazy(power24):

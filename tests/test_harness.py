@@ -26,7 +26,6 @@ from rgglab.harness import (
     palm_mean_check,
     poisson_gof,
     replication_seed,
-    run_annuli_census_experiment,
     run_clt_experiment,
     run_core_experiment,
     run_poisson_layer_experiment,
@@ -228,20 +227,6 @@ def test_core_experiment(power24, k2):
                          replications=2, n_ladder=(1e17,))
     with pytest.raises(ExperimentError, match="exceeds budget"):
         run_core_experiment(cfg_huge)
-
-
-def test_annuli_census_experiment(power24, k2):
-    cfg = small_cfg(power24, k2, replications=30, n_ladder=(1e4, 1e5),
-                    kmax_census=3, t_grid=np.array([1.0]))
-    rep = run_annuli_census_experiment(cfg)
-    assert rep.flags["all_nonnegative"]
-    trends = rep.tables["trends"]
-    # the pair count beyond its own layer radius stays O(1) while the count
-    # beyond the deeper layer-3 radius grows with n
-    own3 = trends[3]["beyond_own_layer"]
-    assert all(v < 20 for v in own3)
-    own2 = trends[2]["beyond_own_layer"]
-    assert all(v < 20 for v in own2)
 
 
 def test_write_report_csvs(power24, k2, tmp_path):

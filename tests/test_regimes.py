@@ -8,7 +8,7 @@ import pytest
 from rgglab.densities import (
     PoissonLayerSchedule,
     PowerSchedule,
-    TableSchedule,
+    RadiusSchedule,
     VonMisesDensity,
     WeakCoreSchedule,
 )
@@ -40,11 +40,17 @@ def test_power_schedule_regimes(power24):
     assert classify_regime(power24, PowerSchedule(beta=0.2), (1e2, 1e6)).tag == DENSE
 
 
+class _WigglySchedule(RadiusSchedule):
+    """Log-log interpolation of a table whose radius trend oscillates around the weak core."""
+
+    def radius(self, density, n):
+        return float(np.exp(np.interp(np.log(n), np.log([1e2, 1e3, 1e4, 1e5]),
+                                      np.log([1.4, 4.5, 5.2, 14.0]))))
+
+
 def test_unclassifiable(power24):
-    # explicit table with an oscillating radius trend around the weak core
-    wiggly = TableSchedule(entries=((1e2, 1.4), (1e3, 4.5), (1e4, 5.2), (1e5, 14.0)))
     with pytest.raises(UnclassifiableError):
-        classify_regime(power24, wiggly, (1e2, 1e5))
+        classify_regime(power24, _WigglySchedule(), (1e2, 1e5))
 
 
 def test_growth_condition(power24, vm21):
