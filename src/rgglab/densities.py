@@ -51,7 +51,7 @@ _TAIL_CACHE_SIZE = 256       # memoized tail integrals kept per density
 # inverse-CDF interval lookup buckets over [0, max_cdf], 16 bytes each; more
 # were no faster, and every cached exterior table holds its own
 _BUCKETS = 1 << 14
-_CHUNK = 4096                # rows per cache-sized pass over a full cloud
+_CHUNK = 8192                # rows per cache-sized pass over a full cloud
 
 
 @dataclass
@@ -61,12 +61,12 @@ class _InverseCdf:
     ``pchip_coefficients`` (scipy's ``PchipInterpolator``, ported) builds
     the cubic coefficients; calls evaluate them here with the same
     arithmetic as scipy's ``PPoly(extrapolate=False)`` on
-    ``min(u, max_cdf)``, bit for bit, one cache-sized chunk at a time.  Two
-    packed tables serve a chunk with one row gather each: a bucket table
-    over [0, max_cdf] finds each u's interval without a full binary search,
-    and an interval table holds the interval's left end and its cubic.  Both are built in ``__post_init__``
-    and never written afterwards: exterior tables are shared by worker
-    threads.
+    ``min(u, max_cdf)``, bit for bit, one cache-sized chunk at a time.  A
+    bucket table over [0, max_cdf] finds each u's interval without a full
+    binary search, and five coefficient columns hold each interval's left
+    end and its cubic; every lookup is a ``take`` from one contiguous
+    array.  All tables are built in ``__post_init__`` and never written
+    afterwards: exterior tables are shared by worker threads.
     """
 
     r: np.ndarray
@@ -82,11 +82,12 @@ class _InverseCdf:
         self._x = cdf
         # scipy evaluates (0 + c3) + c2*s + c1*(s*s) + c0*((s*s)*s) on the
         # interval x[i] <= u < x[i+1], and on the last one at u = x[-1].  The
-        # rows (left, c3, c2, c1, c0) are indexed by k = #{breakpoints <= u}
+        # columns left, c3, c2, c1, c0 are indexed by k = #{breakpoints <= u}
         # = i + 1, so they are shifted by one, and k = len(x) repeats the last
         # interval
-        rows = np.column_stack([cdf[:-1], 0.0 + c[3], c[2], c[1], c[0]])
-        self._cubic = np.concatenate([np.full((1, 5), np.nan), rows, rows[-1:]])
+        self._left, self._c3, self._c2, self._c1, self._c0 = (
+            np.concatenate([[np.nan], col, col[-1:]])
+            for col in (cdf[:-1], 0.0 + c[3], c[2], c[1], c[0]))
         # a breakpoint's bucket uses the expression queries use; as
         # floor(v * scale) is monotone in v, the breakpoints of buckets before
         # v's are below v and those of buckets after it above v.  So k is the
@@ -96,12 +97,11 @@ class _InverseCdf:
         self._scale = _BUCKETS / self.max_cdf      # max_cdf > 0: PCHIP needs two points
         bucket = (cdf * self._scale).astype(np.intp)
         # breakpoints in earlier buckets: j for the buckets in (bucket[j-1], bucket[j]]
-        before = np.repeat(np.arange(cdf.size + 1), np.diff(bucket, prepend=-1, append=_BUCKETS))
-        held = np.diff(before, append=cdf.size)
-        self._buckets = np.empty(_BUCKETS + 1, dtype=[("before", np.int64), ("split", np.float64)])
-        self._buckets["before"] = before
-        self._buckets["split"] = np.where(held == 0, np.inf, np.nan)
-        self._buckets["split"][held == 1] = cdf[before[held == 1]]
+        self._before = np.repeat(np.arange(cdf.size + 1),
+                                 np.diff(bucket, prepend=-1, append=_BUCKETS))
+        held = np.diff(self._before, append=cdf.size)
+        self._split = np.where(held == 0, np.inf, np.nan)
+        self._split[held == 1] = cdf[self._before[held == 1]]
 
     def eval_chunk(self, u: np.ndarray) -> np.ndarray:
         """The inverse CDF at a 1-d chunk of u, about ``_CHUNK`` long, as a new array."""
@@ -110,19 +110,25 @@ class _InverseCdf:
         all_valid = valid.all()
         if not all_valid:
             v[~valid] = self._x[0]
-        look = self._buckets.take((v * self._scale).astype(np.intp))   # floor, as v >= 0
-        split = look["split"]
-        k = look["before"] + (v >= split)
+        bucket = (v * self._scale).astype(np.intp)             # floor, as v >= 0
+        split = self._split.take(bucket)
+        k = self._before.take(bucket)
+        k += v >= split
         crowded = np.isnan(split)
         if crowded.any():
             k[crowded] = np.searchsorted(self._x, v[crowded], side="right")
-        row = self._cubic.take(k, axis=0)
-        s = v - row[:, 0]
+        s = v - self._left.take(k)
+        res = self._c2.take(k)
+        res *= s
+        res += self._c3.take(k)
+        term = self._c1.take(k)
         s2 = s * s
-        res = row[:, 1] + row[:, 2] * s
-        res += row[:, 3] * s2
+        term *= s2
+        res += term
         s2 *= s
-        res += row[:, 4] * s2
+        self._c0.take(k, out=term)
+        term *= s2
+        res += term
         if not all_valid:
             res[~valid] = np.nan
         return res
@@ -275,11 +281,32 @@ class RadialDensity:
 
     def _points(self, rng: np.random.Generator, size: int, radius) -> np.ndarray:
         """size points with radius ``radius(u)`` of a uniform u and a uniform
-        direction, in one pass per cache-sized chunk after both draws."""
-        u = rng.random(size)
-        z = rng.standard_normal((size, self.d))
+        direction: the bits of ``u = rng.random(size)`` then
+        ``rng.standard_normal((size, d))``, with ``rng`` left where those
+        draws leave it, but with no more than a chunk of u held at a time.
+
+        ``rng`` draws u chunk by chunk while a second generator, advanced
+        past them, draws the directions into the output.  This needs a PCG64
+        generator, whose random doubles take one 64-bit word each.
+        """
+        bits = getattr(rng, "bit_generator", None)
+        if type(bits) is not np.random.PCG64:
+            raise TypeError("sampling needs a numpy Generator on PCG64 (np.random.default_rng), "
+                            f"got {rng!r}")
+        start = bits.state
+        # a fresh PCG64 set to rng's state costs a third of copy.deepcopy(rng)
+        normals = np.random.Generator(np.random.PCG64(0))
+        normals.bit_generator.state = start
+        normals.bit_generator.advance(size)
+        z = np.empty((size, self.d))
         for lo in range(0, size, _CHUNK):
-            _scale_directions(z[lo:lo + _CHUNK], radius(u[lo:lo + _CHUNK]))
+            chunk = z[lo:lo + _CHUNK]
+            normals.standard_normal(out=chunk)
+            _scale_directions(chunk, radius(rng.random(chunk.shape[0])))
+        # rng goes on after the directions with its buffered 32-bit word,
+        # which random doubles never use and advance drops
+        bits.state = {**normals.bit_generator.state, "has_uint32": start["has_uint32"],
+                      "uinteger": start["uinteger"]}
         return z
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

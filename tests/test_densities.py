@@ -1,6 +1,8 @@
 """Radial laws: normalization, samplers, tails, and derived radii."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,19 +421,19 @@ def test_directions_match_linalg_norm(d):
 
 
 class _ChosenUniforms:
-    """A Generator stand-in whose ``random`` returns chosen u and whose
-    ``standard_normal`` draws from a real generator."""
+    """A Generator stand-in whose ``random`` hands out chosen u in order and
+    whose bit generator is a real PCG64, from which the sampler draws the
+    directions after skipping ``len(u)`` words, as it does for a real one."""
 
     def __init__(self, u, seed):
         self._u = np.asarray(u, dtype=float)
-        self._rng = np.random.default_rng(seed)
+        self._taken = 0
+        self.bit_generator = np.random.default_rng(seed).bit_generator
 
     def random(self, size):
-        assert size == self._u.size
-        return self._u.copy()
-
-    def standard_normal(self, shape):
-        return self._rng.standard_normal(shape)
+        assert self._taken + size <= self._u.size
+        self._taken += size
+        return self._u[self._taken - size:self._taken].copy()
 
 
 def _expected_sample(density, inv, shift, u, normals, tail):
@@ -443,27 +445,70 @@ def _expected_sample(density, inv, shift, u, normals, tail):
     return r[:, None] * _reference_directions(normals, u.size, density.d)
 
 
+def _sampler_cases(density, R):
+    """(draw, table, shift, tail) for the full and the exterior sampler."""
+    return ((lambda g, n: density.sample(g, n), density._radial_inverse(), 0.0, True),
+            (lambda g, n: density.sample_exterior(g, n, R), density._exterior_inverse(R)[0], R,
+             False))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_keeps_draw_everything_stream(d):
+    """The chunked sampler gives the bits of drawing every u with
+    ``rng.random(n)`` and then every direction with
+    ``rng.standard_normal((n, d))``, and leaves the generator in that
+    reference's state, a buffered 32-bit word included."""
+    from rgglab.densities import _CHUNK
+
+    sizes = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5000, 3 * _CHUNK + 17)
+    for density in (PowerLawDensity(d, d + 2.0), VonMisesDensity(d, 0.5)):
+        for draw, inv, shift, tail in _sampler_cases(density, 2.5):
+            for n, buffered in itertools.product(sizes, (False, True)):
+                ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+                if buffered:                    # leaves half a 64-bit word buffered
+                    for g in (ref, rng):
+                        g.integers(1000, dtype=np.int32)
+                u = ref.random(n)
+                expected = _expected_sample(density, inv, shift, u, ref, tail)
+                got = draw(rng, n)
+                assert np.array_equal(got, expected), (density.family, shift, n)
+                assert rng.bit_generator.state == ref.bit_generator.state, (shift, n, buffered)
+                assert rng.integers(0, 2**31, size=3, dtype=np.int32).tolist() \
+                    == ref.integers(0, 2**31, size=3, dtype=np.int32).tolist()
+
+
+def test_sample_refuses_other_bit_generators(power24):
+    """Skipping the uniforms counts one 64-bit word per u, which holds for PCG64."""
+    for draw in (lambda g: power24.sample(g, 10), lambda g: power24.sample_exterior(g, 10, 2.0)):
+        with pytest.raises(TypeError, match="PCG64"):
+            draw(np.random.Generator(np.random.MT19937(1)))
+
+
+def test_sample_memory_is_points_plus_a_chunk(power24):
+    """A full cloud holds its points and O(_CHUNK) scratch, not every u at
+    once: 1e6 points in d = 2 peak within 1 MiB of their own 15.3 MiB."""
+    for draw in (power24.sample, lambda g, n: power24.sample_exterior(g, n, 2.0)):
+        rng = np.random.default_rng(6)
+        draw(rng, 1)                                  # builds the cached tables
+        tracemalloc.start()
+        try:
+            points = draw(rng, 1_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= points.nbytes + 2**20, (peak, points.nbytes)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sample_matches_reference(d):
     """Full and exterior samples keep the bits of scipy's PCHIP and
-    np.linalg.norm across chunk boundaries, take the asymptotic tail past the
+    np.linalg.norm at chunk boundaries, take the asymptotic tail past the
     table's last quantile (full samples only), and turn NaN or negative u
     into NaN points."""
     from rgglab.densities import _CHUNK
 
-    R = 2.5
-    sizes = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5000, 3 * _CHUNK + 17)
     for density in (PowerLawDensity(d, d + 2.0), VonMisesDensity(d, 0.5)):
-        inv_full, inv_ext = density._radial_inverse(), density._exterior_inverse(R)[0]
-        cases = ((lambda g, n: density.sample(g, n), inv_full, 0.0, True),
-                 (lambda g, n: density.sample_exterior(g, n, R), inv_ext, R, False))
-        for draw, inv, shift, tail in cases:
-            for n in sizes:
-                ref_rng = np.random.default_rng(8)
-                u = ref_rng.random(n)
-                expected = _expected_sample(density, inv, shift, u, ref_rng, tail)
-                got = draw(np.random.default_rng(8), n)
-                assert np.array_equal(got, expected), (density.family, shift, n)
+        for draw, inv, shift, tail in _sampler_cases(density, 2.5):
             # random u passes max_cdf with probability ~1e-12 per draw, so the
             # tail branch and invalid u come from chosen values
             n = 3 * _CHUNK + 17
@@ -475,7 +520,9 @@ def test_sample_matches_reference(d):
                   3 * _CHUNK, n - 1]
             u[at] = chosen
             got = draw(_ChosenUniforms(u, seed=10), n)
-            expected = _expected_sample(density, inv, shift, u, np.random.default_rng(10), tail)
+            normals = np.random.default_rng(10)
+            normals.bit_generator.advance(n)              # past the words of n uniforms
+            expected = _expected_sample(density, inv, shift, u, normals, tail)
             assert np.array_equal(got, expected, equal_nan=True), (density.family, shift)
             assert np.isnan(got[at[4:7]]).all() and not np.isnan(np.delete(got, at[4:7], 0)).any()
             if tail and density.family == "power":     # its full table ends short of 1
