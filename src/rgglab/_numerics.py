@@ -21,7 +21,9 @@ installed scipy.
 
 ``gauss_legendre`` is not a port: it lays numpy's Gauss-Legendre nodes on
 the segments between given cuts, the one composite rule that the tail
-integral and the exact pair cumulants share.
+integral and the exact pair cumulants share.  Nor is ``row_norms``, the one
+summation rule of every distance that the sampler, the adjacency and the
+classifier compute.
 
 The code is derived from SciPy, which carries this notice:
 
@@ -483,6 +485,25 @@ def gauss_legendre(cuts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _legendre(m)
     a, b = cuts[:-1, None], cuts[1:, None]
     return ((a + b) / 2 + (b - a) / 2 * x).ravel(), ((b - a) / 2 * w).ravel()
+
+
+def row_norms(column, d: int) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, d) array given by its columns,
+    ``column(c)`` for c < d, with the bits of ``np.linalg.norm(x, axis=1)``.
+
+    numpy adds fewer than 8 terms in order, so below 8 columns the squares
+    are summed column by column, which never forms the (N, d) array; from 8
+    on, numpy sums each row pairwise, so the columns are stacked first.
+    """
+    if d >= 8:
+        x = np.stack([column(c) for c in range(d)], axis=1)
+        return np.sqrt((x * x).sum(axis=1))
+    x = column(0)
+    sq = x * x
+    for c in range(1, d):
+        x = column(c)
+        sq += x * x
+    return np.sqrt(sq, out=sq)
 
 
 # ---------------------------------------------------------------------------

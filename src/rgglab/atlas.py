@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._numerics import row_norms
+
 MAX_ORDER = 7          # largest supported vertex count
 # configurations classified per vectorized batch (bounds the (m, T) temporaries)
 _INDICATOR_CHUNK = 1 << 14
@@ -187,16 +189,7 @@ class Atlas:
             within = np.empty(m, dtype=bool)
             bit = np.empty(m, dtype=mask_dtype)
             for p, (i, j) in enumerate(pairs):
-                if d >= 8:    # numpy's pairwise sum reorders the additions
-                    diff = batch[:, i] - batch[:, j]
-                    dist = np.sqrt((diff * diff).sum(axis=1))
-                else:         # fewer than 8 terms are added in order
-                    diff = batch[:, i, 0] - batch[:, j, 0]
-                    dist = diff * diff
-                    for c in range(1, d):
-                        diff = batch[:, i, c] - batch[:, j, c]
-                        dist += diff * diff
-                    np.sqrt(dist, out=dist)
+                dist = row_norms(lambda c: batch[:, i, c] - batch[:, j, c], d)
                 weight = mask_dtype(1 << p)
                 for g, t in enumerate(t_grid):
                     np.less_equal(dist, t, out=within)

@@ -101,8 +101,8 @@ class CountRequest:
         object.__setattr__(self, "t_grid", grid)
         if self.mode not in (MODE_H, MODE_PLUS, MODE_MINUS):
             raise InvalidRequestError(f"unknown mode {self.mode!r}")
-        if self.R < 0:
-            raise InvalidRequestError("exclusion radius must be >= 0")
+        if not self.R >= 0:
+            raise InvalidRequestError(f"exclusion radius must be >= 0, got {self.R!r}")
         if self.annulus is not None:
             lo, hi = self.annulus
             if not 0 <= lo < hi:

@@ -21,7 +21,8 @@ import numpy as np
 # start-up and not the first draw pays for it
 import numpy.random  # noqa: F401
 
-from ._numerics import brentq, cumulative_simpson, gauss_legendre, pchip_coefficients, quad
+from ._numerics import (brentq, cumulative_simpson, gauss_legendre, pchip_coefficients, quad,
+                        row_norms)
 
 
 class InvalidParameterError(ValueError):
@@ -142,27 +143,13 @@ class _InverseCdf:
         return out.reshape(u.shape)
 
 
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(z, axis=1)``, bit for bit, without its per-row reduction.
-
-    numpy adds fewer than 8 terms in order, so below 8 columns summing the
-    squared columns left to right gives the same bits.
-    """
-    if z.shape[1] >= 8:
-        return np.linalg.norm(z, axis=1)
-    sq = z[:, 0] * z[:, 0]
-    for j in range(1, z.shape[1]):
-        sq += z[:, j] * z[:, j]
-    return np.sqrt(sq, out=sq)
-
-
 def _scale_directions(z: np.ndarray, r: np.ndarray) -> None:
     """Set each row of the (N, d) z, in place, to ``z / np.linalg.norm(z) * r``.
 
     Bit for bit, with a zero row left zero.  It runs column by column, since
     an (N, 1) broadcast runs an inner loop of length d.
     """
-    norms = _row_norms(z)
+    norms = row_norms(lambda c: z[:, c], z.shape[1])
     norms[norms == 0] = 1.0
     for c in range(z.shape[1]):
         z[:, c] /= norms

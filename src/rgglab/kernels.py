@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from ._numerics import row_norms
 from .densities import _CHUNK
 
 # cells are wider than the radius by this relative slack, so that a pair at
@@ -82,25 +83,14 @@ def build_adjacency(points: np.ndarray, radius: float):
     ends = np.cumsum(per_row)
     cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK), side="right")
     bounds = [0, *cuts.tolist(), n]          # a repeated bound is an empty chunk
-    # coordinates in cell order, one column at a time below 8 columns, where
-    # the in-order sum of squares equals numpy's row sum
-    sorted_pts = points[order]
-    cols = [np.ascontiguousarray(sorted_pts[:, j]) for j in range(d)] if d < 8 else None
+    # coordinates in cell order, one column at a time
+    cols = [points[order, j] for j in range(d)]
     p_parts, q_parts = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
         c = counts[a:b].ravel()
         first = np.repeat(np.arange(a, b), per_row[a:b])
         second = np.arange(first.size) + np.repeat(start[a:b].ravel() - (np.cumsum(c) - c), c)
-        if cols is None:
-            diff = sorted_pts[first] - sorted_pts[second]
-            d2 = (diff * diff).sum(axis=1)
-        else:
-            diff = cols[0][first] - cols[0][second]
-            d2 = diff * diff
-            for col in cols[1:]:
-                diff = col[first] - col[second]
-                d2 += diff * diff
-        keep = np.sqrt(d2) <= radius
+        keep = row_norms(lambda j: cols[j][first] - cols[j][second], d) <= radius
         p_parts.append(order[first[keep]])
         q_parts.append(order[second[keep]])
     p, q = np.concatenate(p_parts), np.concatenate(q_parts)

@@ -11,7 +11,10 @@ configuration lies within k*t of the center), so plain Monte Carlo over the
 support balls with per-entry standard errors is the estimator of choice;
 rho is importance-sampled from its exponential envelope.  All grid entries
 share the same draws, which keeps the noise strongly correlated across the
-matrix and the symmetrized estimator exactly symmetric.
+matrix and the symmetrized estimator exactly symmetric.  ``block_moments``
+is that estimator, and only the weight of a draw differs between its uses:
+1 for the heavy family, the exponential for the light one, and the density
+values at finite n for ``harness.palm_expectation``.
 
 Finite-n reference: ``exact_pair_cumulants`` gives the first three
 cumulants of the K_2 count outside R at intensity n (d = 2) by the Mecke
@@ -46,9 +49,9 @@ def b_constant(d: int, k: int, ell: int, alpha: float) -> float:
     """Heavy-tail block constant s_{d-1} / (ell! ((k-ell)!)^2 (alpha(2k-ell) - d))."""
     _check_ell(k, ell)
     denom = alpha * (2 * k - ell) - d
-    if denom <= 0:
+    if not denom > 0:
         raise InvalidParameterError(
-            f"divergent block constant: alpha(2k-ell) = {alpha * (2*k-ell)} <= d = {d}")
+            f"divergent block constant: need alpha(2k-ell) > d = {d}, got {alpha * (2*k-ell)}")
     return sphere_surface_area(d) / (
         math.factorial(ell) * math.factorial(k - ell) ** 2 * denom)
 
@@ -229,38 +232,28 @@ def _light_weights(rho, cinv, annulus, proj_shared, proj_z1, proj_z2):
     return np.exp(np.where(support, -cinv * proj_all.sum(axis=1), -np.inf))
 
 
-def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovariance:
+def block_moments(params: OracleParams, mode: str, rng: np.random.Generator,
+                  weigh=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """One block over ``params.t_grid``, unscaled: the mean of
+    w (a1(t) a2(s) + a1(s) a2(t)) / 2 over the draws, its standard error, and
+    the volume of the sampling domain, by which the caller scales both.
+
+    a1 and a2 are the ``mode`` values of the configurations (0, shared, z1)
+    and (0, shared, z2), whose 2k - ell - 1 points are uniform in the support
+    ball, so the domain is that ball's (2k - ell - 1)-th power.  ``weigh`` is
+    None for unit weights, or a pair (draw, weight):
+    ``draw(rng, count)`` takes each chunk's own variates after its ball
+    draws, and ``weight(v, cfg1, cfg2)`` maps those of the draws that reach
+    the classification, with their configurations, to their weights.
+    """
     d, k, ell = params.d, params.k, params.ell
     grid = params.t_grid
     T = grid.size
     t_max = float(grid.max())
     atlas = build_atlas(k)
     n_shared, n_z = ell - 1, k - ell
-    m_vectors = 2 * k - ell - 1
     radius = k * max(t_max, np.finfo(float).tiny)
-    volume = unit_ball_volume(d) * radius ** d
-
-    if light:
-        if params.c is None or not params.c > 0:
-            raise InvalidParameterError("light-tail covariance needs c in (0, inf]")
-        cinv = 0.0 if math.isinf(params.c) else 1.0 / params.c
-        rate = 2 * k - ell
-        scale = d_constant(d, k, ell) / rate * volume ** m_vectors
-    else:
-        if params.alpha is None:
-            raise InvalidParameterError("heavy-tail covariance needs alpha")
-        scale = b_constant(d, k, ell, params.alpha) * volume ** m_vectors
-        cinv = 0.0
-        rate = 0.0
-
-    annulus = params.annulus
-    if annulus is not None and not light:
-        raise InvalidParameterError(
-            "annulus restriction enters the heavy-tail blocks through closed-form "
-            "weights; pass it to mixture_covariance instead")
-
     top = np.array([t_max])
-    rng = np.random.default_rng(params.seed)
     sum_m = np.zeros((T, T))
     sq_m = np.zeros((T, T))
     remaining = params.n_samples
@@ -268,7 +261,7 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
         count = min(_CHUNK, remaining)
         remaining -= count
         draws = [_ball_draws(rng, count, m, d, radius) for m in (n_shared, n_z, n_z)]
-        rho = rng.exponential(1.0 / rate, size=count) if light else None
+        extra = None if weigh is None else weigh[0](rng, count)
         # Every grid graph is a subgraph of the one at t_max, so a draw whose
         # configurations are not both the shape or denser there reads 0 at
         # every t in every mode.  Such draws are rejected before they are
@@ -291,7 +284,10 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
         a1 = _mode_values(atlas, params.shape, cfg1, grid, mode).astype(float)
         a2 = a1 if n_z == 0 else _mode_values(
             atlas, params.shape, cfg2, grid, mode).astype(float)
-        if light:
+        if weigh is None:
+            # unit-weight sums are exact integers, which zero rows leave alone
+            w = None
+        else:
             # Weighted sums are rounded, so they run on full-length operands
             # with zero rows for the rejected draws, as if each were classified.
             hit = rows[live]
@@ -301,28 +297,49 @@ def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovar
                 out[hit] = x
                 return out
 
-            w = _light_weights(rho, cinv, annulus, full(cfg1[:, 1:ell, 0]),
-                               full(cfg1[:, ell:, 0]), full(cfg2[:, ell:, 0]))
+            w = full(weigh[1](extra[hit], cfg1, cfg2))
             a1 = full(a1)
             a2 = a1 if n_z == 0 else full(a2)
-        else:
-            # unit-weight sums are exact integers, which zero rows leave alone
-            w = None
         _accumulate(sum_m, sq_m, w, a1, a2)
 
     N = params.n_samples
     mean = sum_m / N
     var = np.maximum(sq_m / N - mean ** 2, 0.0)
-    matrix = scale * mean
-    std_err = scale * np.sqrt(var / N)
+    volume = unit_ball_volume(d) * radius ** d
+    return mean, np.sqrt(var / N), volume ** (2 * k - ell - 1)
+
+
+def _covariance_core(params: OracleParams, mode: str, light: bool) -> LimitCovariance:
+    d, k, ell = params.d, params.k, params.ell
+    if light:
+        if params.c is None or not params.c > 0:
+            raise InvalidParameterError("light-tail covariance needs c in (0, inf]")
+        cinv = 0.0 if math.isinf(params.c) else 1.0 / params.c
+        rate = 2 * k - ell
+        const = d_constant(d, k, ell) / rate
+        weigh = (lambda rng, count: rng.exponential(1.0 / rate, size=count),
+                 lambda rho, cfg1, cfg2: _light_weights(
+                     rho, cinv, params.annulus, cfg1[:, 1:ell, 0], cfg1[:, ell:, 0],
+                     cfg2[:, ell:, 0]))
+    else:
+        if params.alpha is None:
+            raise InvalidParameterError("heavy-tail covariance needs alpha")
+        if params.annulus is not None:
+            raise InvalidParameterError(
+                "annulus restriction enters the heavy-tail blocks through closed-form "
+                "weights; pass it to mixture_covariance instead")
+        const, weigh = b_constant(d, k, ell, params.alpha), None
+
+    mean, se, domain = block_moments(params, mode, np.random.default_rng(params.seed), weigh)
+    scale = const * domain
     prov = {
         "formula": ("M_ell" if light else "L_ell"), "d": d, "k": k, "ell": ell,
         "mode": mode, "alpha": params.alpha, "c": params.c,
-        "annulus": params.annulus, "seed": params.seed, "n_samples": N,
+        "annulus": params.annulus, "seed": params.seed, "n_samples": params.n_samples,
         "shape_canonical": params.shape.canonical_form,
     }
-    return LimitCovariance(t_grid=grid.copy(), matrix=matrix, std_err=std_err,
-                           provenance=prov)
+    return LimitCovariance(t_grid=params.t_grid.copy(), matrix=scale * mean,
+                           std_err=scale * se, provenance=prov)
 
 
 def covariance_L(params: OracleParams, mode: str = "h") -> LimitCovariance:
@@ -363,8 +380,8 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
     elif tag == DENSE:
         ells = [1]
     elif tag == CRITICAL:
-        if xi is None or not xi > 0:
-            raise InvalidParameterError("critical mixture needs a positive xi")
+        if xi is None or not 0 < xi < math.inf:
+            raise InvalidParameterError("critical mixture needs a finite positive xi")
         ells = list(range(1, k + 1))
     else:
         raise InvalidParameterError(f"unknown regime tag {tag!r}")

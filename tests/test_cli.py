@@ -510,6 +510,12 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         ((*oracle, "--d", "0", "--t-grid", "1"), "dimension d must be >= 1"),
         ((*oracle, "--d", "2", "--t-grid", "nan"), "t_grid must be a nonempty nonnegative"),
         ((*count, "nan"), "t_grid must be nonnegative"),
+        ((*count, "1", "--R", "nan"), "exclusion radius must be >= 0, got nan"),
+        (("oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2", "--alpha", "nan",
+          "--t-grid", "1", "--samples", "5000"), "divergent block constant"),
+        (("oracle", "--kind", "mixture", "--regime", "critical", "--xi", "inf", "--d", "2",
+          "--k", "2", "--ell", "2", "--alpha", "4", "--t-grid", "1", "--samples", "5000"),
+         "critical mixture needs a finite positive xi"),
         ((*count, "1", "--annulus", "1,nan"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1,-inf"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1"), "[count] --annulus: expected two numbers"),

@@ -157,6 +157,9 @@ def test_invalid_requests(k2):
         CountRequest(shape=k2, t_grid=np.array([]))
     with pytest.raises(InvalidRequestError):
         CountRequest(shape=k2, t_grid=np.array([1.0]), mode="weird")
+    for R in (-1.0, np.nan):
+        with pytest.raises(InvalidRequestError, match="exclusion radius"):
+            CountRequest(shape=k2, t_grid=np.array([1.0]), R=R)
     for annulus in ((2.0, 1.0), (1.0, 1.0), (-0.5, 2.0), (np.nan, 2.0), (1.0, np.nan),
                     (0.0, 0.0)):   # (0, 0): multiples of R = 0 hold no point
         with pytest.raises(InvalidRequestError, match="annulus"):

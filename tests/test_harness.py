@@ -14,6 +14,7 @@ from rgglab.densities import (
     PoissonLayerSchedule,
     PowerSchedule,
     sample_poisson_cloud,
+    weak_core_radius,
 )
 from rgglab.harness import (
     ExperimentConfig,
@@ -31,6 +32,7 @@ from rgglab.harness import (
     run_poisson_layer_experiment,
     write_report,
 )
+from rgglab.limits import exact_pair_cumulants
 from rgglab.regimes import BoundaryRegimeError
 
 
@@ -114,6 +116,33 @@ def test_palm_mean_check_runs(power24, k2):
         big = small_cfg(power24, k2)
         big.shape = __import__("rgglab.atlas", fromlist=["named_shape"]).named_shape(4, "path")
         palm_mean_check(big)
+
+
+def test_palm_check_passes_runs_without_events(power24, path3):
+    """About 0.33 joint events are expected over all 300 replications, so a
+    correct run may see none; its SE is then the Poisson floor, not 0."""
+    cfg = small_cfg(power24, path3, replications=300, oracle_samples=200_000,
+                    n_ladder=(1e4,), t_grid=np.array([1.0]))
+    rep = palm_mean_check(cfg)
+    assert rep.rungs[0]["empirical_joint"] == 0.0
+    assert rep.flags["mean_within_3se"], rep.flags
+    assert rep.flags["joint_within_3se"], rep.flags
+
+
+@pytest.mark.parametrize("family, n, core_factor", [("power", 1e5, 1.0),
+                                                    ("vonmises", 1e6, 1.3)])
+def test_palm_expectation_matches_exact_pair_mean(power24, vm21, k2, family, n,
+                                                  core_factor):
+    """Outside R, (n^2/2) E{h_t 1} is the exact pair mean kappa1 at t; for K2
+    the joint term at (1, 0.75) is kappa1 at t = 0.75."""
+    density = power24 if family == "power" else vm21
+    R = core_factor * weak_core_radius(density, n)
+    m1, se1, m2, se2 = palm_expectation(density, k2, R, (1.0, 0.75), 200_000,
+                                        np.random.default_rng(3))
+    half_n2 = n * n / 2
+    for m, se, t in ((m1, se1, 1.0), (m2, se2, 0.75)):
+        exact = exact_pair_cumulants(density, n, R, t).kappa1
+        assert abs(half_n2 * m - exact) <= 3 * half_n2 * se, (t, half_n2 * m, exact)
 
 
 def test_palm_expectation_consistency(power24, k2):
