@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +265,9 @@ def _cmd_experiment(args) -> int:
     # built per call, so each runner is read from the module globals at call time
     runners = {"clt": run_clt_experiment, "poisson_layer": run_poisson_layer_experiment,
                "core": run_core_experiment, "palm": palm_mean_check}
+    started = time.perf_counter()
     report = runners[parsed.kind](parsed.experiment)
+    runtime = time.perf_counter() - started
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,7 +279,7 @@ def _cmd_experiment(args) -> int:
     for name in _PASS_FLAGS[parsed.kind]:
         state = "PASS" if bool(report.flags.get(name)) else "FAIL"
         sys.stdout.write(f"{state} {parsed.kind}.{name}\n")
-    sys.stdout.write(f"runtime_seconds: {report.runtime_seconds:.3f}\n")
+    sys.stdout.write(f"runtime_seconds: {runtime:.3f}\n")
     return 0 if passed else 1
 
 

@@ -13,8 +13,6 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .atlas import GraphShape, named_shape, shape_from_edges
 from .densities import (
     CoreSchedule,
@@ -27,28 +25,13 @@ from .densities import (
     VonMisesDensity,
     WeakCoreSchedule,
 )
-from .harness import ExperimentConfig
+from .harness import ExperimentConfig, ExperimentError
 
 
 class ConfigError(ValueError):
     """Malformed configuration: unknown keys, missing fields, bad values."""
 
 
-_SCHEMA = {
-    "density": {"family", "d", "alpha", "tau"},
-    "schedule": {"kind", "beta", "c0", "k", "delta1", "delta2"},
-    "shape": {"k", "name", "edges"},
-    "experiment": {
-        "kind", "t_grid", "n_ladder", "replications", "master_seed", "workers",
-        "oracle_samples", "t_ref", "band", "annulus", "classify_n_range",
-    },
-}
-_REQUIRED = {
-    "density": {"family", "d"},
-    "schedule": {"kind"},
-    "shape": {"k"},
-    "experiment": {"kind", "t_grid", "n_ladder", "replications"},
-}
 EXPERIMENT_KINDS = ("clt", "poisson_layer", "core", "palm")
 
 
@@ -100,6 +83,41 @@ def _float_pair(section, key, raw: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
+# per schedule kind, its class and the keys it reads; a kind ignores the others
+_SCHEDULE_KINDS = {
+    "power": (PowerSchedule, {"c0": _float, "beta": _float}),
+    "weak_core": (WeakCoreSchedule, {}),
+    "core": (CoreSchedule, {"delta1": _float, "delta2": _float}),
+    "poisson_layer": (PoissonLayerSchedule, {"k": _int}),
+    "log_band": (LogBandSchedule, {"beta": _float}),
+}
+# the [experiment] keys that are ExperimentConfig fields; ``kind`` picks the runner
+_EXPERIMENT_FIELDS = {
+    "t_grid": _float_list, "n_ladder": _float_list, "replications": _int,
+    "master_seed": _int, "workers": _int, "oracle_samples": _int, "t_ref": _float,
+    "band": _float_pair, "annulus": _float_pair, "classify_n_range": _float_pair,
+}
+_SCHEMA = {
+    "density": {"family", "d", "alpha", "tau"},
+    "schedule": {"kind"}.union(*(keys for _, keys in _SCHEDULE_KINDS.values())),
+    "shape": {"k", "name", "edges"},
+    "experiment": {"kind", *_EXPERIMENT_FIELDS},
+}
+_REQUIRED = {
+    "density": {"family", "d"},
+    "schedule": {"kind"},
+    "shape": {"k"},
+    "experiment": {"kind", "t_grid", "n_ladder", "replications"},
+}
+
+
+def _read_section(section: str, values, readers: dict) -> dict:
+    """The keys of ``readers`` that ``values`` holds, each read by its reader;
+    an absent key is left to the dataclass default."""
+    return {key: read(section, key, values[key]) for key, read in readers.items()
+            if key in values}
+
+
 def _validate_sections(parser: configparser.ConfigParser) -> None:
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -137,20 +155,10 @@ def build_density(parser: configparser.ConfigParser) -> RadialDensity:
 def build_schedule(parser: configparser.ConfigParser) -> RadiusSchedule:
     sec = parser["schedule"]
     kind = sec["kind"].strip().lower()
-    if kind == "power":
-        return PowerSchedule(c0=_float("schedule", "c0", sec.get("c0", "1.0")),
-                             beta=_float("schedule", "beta", sec.get("beta", "0.3")))
-    if kind == "weak_core":
-        return WeakCoreSchedule()
-    if kind == "core":
-        d1 = _float("schedule", "delta1", sec["delta1"]) if "delta1" in sec else None
-        d2 = _float("schedule", "delta2", sec["delta2"]) if "delta2" in sec else None
-        return CoreSchedule(delta1=d1, delta2=d2)
-    if kind == "poisson_layer":
-        return PoissonLayerSchedule(k=_int("schedule", "k", sec.get("k", "2")))
-    if kind == "log_band":
-        return LogBandSchedule(beta=_float("schedule", "beta", sec.get("beta", "0.45")))
-    raise ConfigError(f"[schedule] unknown kind {kind!r}")
+    if kind not in _SCHEDULE_KINDS:
+        raise ConfigError(f"[schedule] unknown kind {kind!r}")
+    cls, readers = _SCHEDULE_KINDS[kind]
+    return cls(**_read_section("schedule", sec, readers))
 
 
 def build_shape(parser: configparser.ConfigParser) -> GraphShape:
@@ -220,34 +228,10 @@ def parse_config(path: Path | str | None = None, text: str | None = None,
         raise ConfigError(f"[experiment] unknown kind {kind!r}; "
                           f"choose from {EXPERIMENT_KINDS}")
 
-    t_grid = np.array(_float_list("experiment", "t_grid", sec["t_grid"]))
-    n_ladder = tuple(_float_list("experiment", "n_ladder", sec["n_ladder"]))
-    band = (0.8, 1.2)
-    if "band" in sec:
-        band = _float_pair("experiment", "band", sec["band"])
-        if not band[0] <= band[1]:
-            raise ConfigError(f"[experiment] band: needs lo <= hi, got {sec['band']!r}")
-    annulus = None
-    if "annulus" in sec:
-        annulus = _float_pair("experiment", "annulus", sec["annulus"])
-        if not annulus[0] < annulus[1]:
-            raise ConfigError(f"[experiment] annulus: needs K < L, got {sec['annulus']!r}")
-    classify = None
-    if "classify_n_range" in sec:
-        classify = _float_pair("experiment", "classify_n_range", sec["classify_n_range"])
-
+    fields = _read_section("experiment", sec, _EXPERIMENT_FIELDS)
     try:
-        experiment = ExperimentConfig(
-            density=density, schedule=schedule, shape=shape, t_grid=t_grid,
-            n_ladder=n_ladder,
-            replications=_int("experiment", "replications", sec["replications"]),
-            master_seed=_int("experiment", "master_seed", sec.get("master_seed", "0")),
-            workers=_int("experiment", "workers", sec.get("workers", "1")),
-            oracle_samples=_int("experiment", "oracle_samples",
-                                sec.get("oracle_samples", "400000")),
-            t_ref=_float("experiment", "t_ref", sec.get("t_ref", "1.0")),
-            band=band, annulus=annulus, classify_n_range=classify,
-        )
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+        experiment = ExperimentConfig(density=density, schedule=schedule, shape=shape,
+                                      **fields)
+    except ExperimentError as exc:
+        raise ConfigError(f"[experiment] {exc}") from exc
     return ParsedConfig(experiment=experiment, kind=kind, raw=parser)

@@ -642,9 +642,13 @@ def sample_poisson_cloud(n: float, density: RadialDensity, rng: np.random.Genera
     from .counting import PointCloud   # local import to avoid a cycle
 
     n = float(n)
-    if n <= 0:
-        raise InvalidParameterError("intensity must be positive")
-    if exterior_radius is None or exterior_radius <= 0:
+    if not 0 < n < math.inf:
+        raise InvalidParameterError(f"intensity must be positive and finite, got {n}")
+    full = exterior_radius is None or exterior_radius <= 0
+    if not (full or math.isfinite(exterior_radius)):
+        raise InvalidParameterError(
+            f"exterior radius must be finite, got {exterior_radius}")
+    if full:
         lam = n
         count = int(rng.poisson(lam))
         pts = density.sample(rng, count)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,6 +82,10 @@ class ExperimentConfig:
         self.n_ladder = ladder
         if self.replications < 2:
             raise ExperimentError("need at least 2 replications for variance tests")
+        if not self.band[0] <= self.band[1]:
+            raise ExperimentError(f"band: needs lo <= hi, got {self.band}")
+        if self.annulus is not None and not self.annulus[0] < self.annulus[1]:
+            raise ExperimentError(f"annulus: needs K < L, got {self.annulus}")
 
 
 @dataclass
@@ -91,7 +94,6 @@ class ExperimentReport:
     rungs: list[dict]
     flags: dict
     seed_audit: dict
-    runtime_seconds: float
     oracle: LimitCovariance | None = None
     tables: dict = field(default_factory=dict)
 
@@ -121,6 +123,13 @@ def _run_replications(cfg: ExperimentConfig, rung_idx: int, work) -> list:
         return [one(r) for r in reps]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(one, reps))
+
+
+def _replicate(cfg: ExperimentConfig, rung_idx: int, work) -> list[np.ndarray]:
+    """One array per field of the tuples ``work(rep, rng)`` returns, with a
+    row per replication."""
+    results = _run_replications(cfg, rung_idx, work)
+    return [np.array(column) for column in zip(*results)]
 
 
 def _default_classify_range(cfg: ExperimentConfig) -> tuple[float, float]:
@@ -160,7 +169,6 @@ def _covariance_with_se(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Replicated counting runs versus the mixture covariance oracle."""
-    started = time.perf_counter()
     density, schedule, shape = cfg.density, cfg.schedule, cfg.shape
     k = shape.k
     n_range = cfg.classify_n_range or _default_classify_range(cfg)
@@ -194,11 +202,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             h, plus, minus = count_decomposed(cloud, _req)
             return h.counts, plus.counts, minus.counts, len(cloud)
 
-        results = _run_replications(cfg, rung_idx, work)
-        curves = np.array([r[0] for r in results], dtype=np.int64)
-        plus = np.array([r[1] for r in results], dtype=np.int64)
-        minus = np.array([r[2] for r in results], dtype=np.int64)
-        sizes = np.array([r[3] for r in results], dtype=np.int64)
+        curves, plus, minus, sizes = _replicate(cfg, rung_idx, work)
         for rep in range(cfg.replications):
             raw_rows.append((n, rep, curves[rep], plus[rep], minus[rep]))
 
@@ -250,12 +254,10 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "monotone_curves_all": all(r["monotone_curves"] for r in rungs),
         "ref_ratios": ref_ratios,
     }
-    report = ExperimentReport(
+    return ExperimentReport(
         kind="clt", rungs=rungs, flags=flags, seed_audit=_seed_audit(cfg),
-        runtime_seconds=time.perf_counter() - started, oracle=oracle,
-        tables={"raw_rows": raw_rows},
+        oracle=oracle, tables={"raw_rows": raw_rows},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +294,6 @@ def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
     joint-persistence count sum h_t h_s against (n^k/k!) E{h_t h_s 1}, at
     the ladder's top rung n with t = t_ref and s = 0.75 t_ref.
     """
-    started = time.perf_counter()
     shape, density, schedule = cfg.shape, cfg.density, cfg.schedule
     k = shape.k
     if k > 3:
@@ -319,9 +320,7 @@ def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
         # G_n(t), and the joint persistence: subsets matching the shape at both radii
         return int(h[:, ti].sum()), int((h[:, ti] & h[:, si]).sum())
 
-    results = _run_replications(cfg, 0, work)
-    counts = np.array([r[0] for r in results], dtype=float)
-    joints = np.array([r[1] for r in results], dtype=float)
+    counts, joints = (column.astype(float) for column in _replicate(cfg, 0, work))
 
     # A count of a 0/1 kernel has Var >= E (its ell = k Mecke term is its mean),
     # so the floor keeps a correct run that sees no event from reading SE 0
@@ -345,8 +344,7 @@ def palm_mean_check(cfg: ExperimentConfig) -> ExperimentReport:
         "palm_joint": pred_joint, "palm_joint_se": pred_joint_se,
     }
     return ExperimentReport(kind="palm", rungs=[rung], flags=flags,
-                            seed_audit=_seed_audit(cfg),
-                            runtime_seconds=time.perf_counter() - started)
+                            seed_audit=_seed_audit(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +421,6 @@ def poisson_gof(counts: np.ndarray) -> dict:
 
 def run_poisson_layer_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispersion and Poisson GOF of G_n(t_ref) at the Poisson-layer radius."""
-    started = time.perf_counter()
     if not isinstance(cfg.schedule, PoissonLayerSchedule):
         raise ExperimentError("poisson-layer experiment needs the poisson_layer schedule")
     t = float(cfg.t_ref)
@@ -437,9 +434,9 @@ def run_poisson_layer_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             cloud = sample_poisson_cloud(_n, cfg.density, rng, exterior_radius=_R,
                                          seed=rep)
             h, _, _ = count_decomposed(cloud, _req)
-            return int(h.counts[0])
+            return (int(h.counts[0]),)
 
-        counts = np.array(_run_replications(cfg, rung_idx, work), dtype=int)
+        (counts,) = _replicate(cfg, rung_idx, work)
         mean = counts.mean()
         disp = counts.var(ddof=1) / mean if mean > 0 else math.nan
         gof = poisson_gof(counts)
@@ -452,8 +449,7 @@ def run_poisson_layer_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "mean_trend_flat": max(means) <= 4 * max(min(means), 1e-9),
     }
     return ExperimentReport(kind="poisson_layer", rungs=rungs, flags=flags,
-                            seed_audit=_seed_audit(cfg),
-                            runtime_seconds=time.perf_counter() - started)
+                            seed_audit=_seed_audit(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +474,6 @@ def run_core_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     sufficient for coverage of B(0, R) by unit balls around the points.
     Dense-region sampling uses full (unrestricted) clouds.
     """
-    started = time.perf_counter()
     density = cfg.density
     d = density.d
     g = 1.0 / (2.0 * math.sqrt(d))
@@ -502,9 +497,7 @@ def run_core_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             occ = kernels.occupied_cells(cloud.points, g, base, dims)
             return bool(occ[flat_R].all()), bool(occ[flat_big].all())
 
-        results = _run_replications(cfg, rung_idx, work)
-        cov_R = np.array([r[0] for r in results])
-        cov_big = np.array([r[1] for r in results])
+        cov_R, cov_big = _replicate(cfg, rung_idx, work)
         rungs.append({
             "n": n, "R_core": R, "cubes": len(cubes_R), "g": g,
             "frequency": float(cov_R.mean()),
@@ -518,8 +511,7 @@ def run_core_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "radius_monotone_all": all(r["radius_monotone"] for r in rungs),
     }
     return ExperimentReport(kind="core", rungs=rungs, flags=flags,
-                            seed_audit=_seed_audit(cfg),
-                            runtime_seconds=time.perf_counter() - started)
+                            seed_audit=_seed_audit(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -68,19 +68,14 @@ def _check_ell(k: int, ell: int) -> None:
         raise InvalidParameterError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
 
 
-def _annulus_start(c: float | None) -> float:
-    """Where an annulus starts when no lower bound is given: at R, which is
-    K = 0 in the light family's a(R)-scaled shells (``c`` set) and K = 1 in
-    the heavy family's multiples of R."""
-    return 0.0 if c is not None else 1.0
-
-
 @dataclass(frozen=True)
 class OracleParams:
     """Oracle inputs.  ``mixture_covariance`` takes a set ``c`` for the light
     family and an unset one for the heavy family; ``annulus`` is in that
-    family's units (multiples of R, or a(R)-scaled shells beyond R).  A
-    ``None`` bound is the family's start below and infinity above."""
+    family's units (multiples of R, or a(R)-scaled shells beyond R).  The
+    annulus starts at R or beyond: K >= 0 in the light family's shells and
+    K >= 1 in the heavy family's multiples.  A ``None`` bound is the family's
+    start below and infinity above."""
 
     d: int
     ell: int
@@ -107,11 +102,12 @@ class OracleParams:
         if self.n_samples < _MIN_SAMPLES:
             raise InvalidParameterError(f"need at least {_MIN_SAMPLES} MC samples")
         if self.annulus is not None:
+            start = 0.0 if self.c is not None else 1.0
             K, L = self.annulus
-            K = _annulus_start(self.c) if K is None else K
+            K = start if K is None else K
             L = math.inf if L is None else L
-            if not K < L:
-                raise InvalidParameterError("annulus needs K < L")
+            if not start <= K < L:
+                raise InvalidParameterError(f"annulus needs {start:g} <= K < L, got ({K}, {L})")
             object.__setattr__(self, "annulus", (K, L))
 
 
@@ -130,8 +126,9 @@ class LimitCovariance:
 # ---------------------------------------------------------------------------
 
 def _ball_draws(rng, count: int, m: int, d: int, radius: float):
-    """The variates of ``_ball_points`` before scaling: (count, m, d) Gaussian
-    directions, then (count, m) radii, drawn in that order."""
+    """Variates of (count, m, d) points uniform in B(0, radius), before
+    ``_scale_points`` scales them: Gaussian directions, then (count, m) radii
+    ``radius * u^(1/d)``, drawn in that order."""
     if m == 0:
         return np.empty((count, 0, d)), np.empty((count, 0))
     z = rng.standard_normal((count, m, d))
@@ -146,11 +143,6 @@ def _scale_points(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     place; a zero direction stays at the origin."""
     _scale_directions(z.reshape(-1, z.shape[2]), r.reshape(-1))
     return z
-
-
-def _ball_points(rng, count: int, m: int, d: int, radius: float):
-    """(count, m, d) vectors uniform in B(0, radius)."""
-    return _scale_points(*_ball_draws(rng, count, m, d, radius))
 
 
 def _within_reach(draws, k: int, t_max: float) -> np.ndarray:
@@ -184,14 +176,6 @@ def _mode_values(atlas, shape: GraphShape, configs: np.ndarray,
     if mode == "plus":
         h |= minus
     return minus if mode == "minus" else h
-
-
-def indicator_values(shape: GraphShape, configs: np.ndarray, t_grid: np.ndarray,
-                     mode: str = "h") -> np.ndarray:
-    """(N, T) values of h / h+ / h- over a batch of k-point configurations."""
-    configs = np.asarray(configs, dtype=float)
-    grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    return _mode_values(build_atlas(shape.k), shape, configs, grid, mode)
 
 
 def _accumulate(sum_m, sq_m, w, a1, a2):
@@ -357,7 +341,12 @@ def covariance_M(params: OracleParams, mode: str = "h") -> LimitCovariance:
 # regime mixtures
 # ---------------------------------------------------------------------------
 
-def _heavy_weight(d: int, k: int, ell: int, alpha: float, K: float, L: float) -> float:
+def _heavy_weight(d: int, k: int, ell: int, alpha: float, annulus) -> float:
+    """K^(d-alpha(2k-ell)) - L^(d-alpha(2k-ell)); 1 without an annulus (K = 1,
+    L = inf)."""
+    if annulus is None:
+        return 1.0
+    K, L = annulus
     expo = d - alpha * (2 * k - ell)
     upper = 0.0 if math.isinf(L) else L ** expo
     return K ** expo - upper
@@ -388,15 +377,8 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
 
     light = params.c is not None
     annulus = params.annulus
-    if light:
-        if annulus is not None and not 0 <= annulus[0] < annulus[1]:
-            raise InvalidParameterError("light annulus needs 0 <= K < L")
-    else:
-        if params.alpha is None:
-            raise InvalidParameterError("heavy mixture needs alpha")
-        K, L = annulus if annulus is not None else (_annulus_start(None), math.inf)
-        if not 1 <= K < L:
-            raise InvalidParameterError("heavy annulus needs 1 <= K < L")
+    if not light and params.alpha is None:
+        raise InvalidParameterError("heavy mixture needs alpha")
 
     T = params.t_grid.size
     matrix = np.zeros((T, T))
@@ -408,7 +390,7 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
         block = covariance_M(sub) if light else covariance_L(sub)
         weight = 1.0 if tag != CRITICAL else xi ** (2 * k - ell)
         if not light:
-            weight *= _heavy_weight(params.d, k, ell, params.alpha, K, L)
+            weight *= _heavy_weight(params.d, k, ell, params.alpha, annulus)
         matrix += weight * block.matrix
         var += (weight * block.std_err) ** 2
         terms.append({"ell": ell, "weight": weight, "provenance": block.provenance})

@@ -16,7 +16,7 @@ from scipy import stats
 import rgglab
 from rgglab.atlas import build_atlas, named_shape
 from rgglab.cli import _schedule_from_args, build_parser, parse_and_dispatch
-from rgglab.config import ConfigError, parse_config
+from rgglab.config import _SCHEMA, ConfigError, parse_config
 from rgglab.counting import (
     CloudFormatError,
     CountRequest,
@@ -365,6 +365,12 @@ def test_readme_ini_example_parses():
     assert parsed.experiment.density.family == "power"
     assert parsed.experiment.shape.k == 2
     assert parsed.experiment.band == (0.8, 1.2)
+    # every key the parser accepts is named in its section, set or as a comment
+    sections = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+    assert sections.keys() == _SCHEMA.keys()
+    for section, keys in _SCHEMA.items():
+        named = set(re.findall(r"^;? ?(\w+) = ", sections[section], re.M))
+        assert named == keys, section
 
 
 def test_shipped_config_parses_and_echoes():
@@ -523,6 +529,11 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         (("count", "--family", "vonmises", "--tau", "1.5", "--d", "2", "--n", "200", "--k", "2",
           "--t-grid", "1", "--annulus", "0,1"), "a(R)-scaled annulus needs R > 0, got R = 0.0"),
         ((*count, "1.0,x"), "[count] --t-grid: expected a number, got 'x'"),
+        (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
+          "--exterior-radius", "inf"), "exterior radius must be finite, got inf"),
+        ((*count, "1", "--exterior-radius", "nan"), "exterior radius must be finite, got nan"),
+        (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "nan"),
+         "intensity must be positive and finite, got nan"),
         (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",
           "power", "--n-range", "1e2"), "[regime] --n-range: expected two numbers"),
     ):

@@ -20,16 +20,15 @@ from rgglab.limits import (
     covariance_M,
     d_constant,
     exact_pair_cumulants,
-    indicator_values,
     mixture_covariance,
     self_similarity_report,
     _accumulate,
     _ball_draws,
-    _ball_points,
+    _mode_values,
     _scale_points,
     _within_reach,
 )
-from rgglab.atlas import h_minus, h_plus, h_t, named_shape
+from rgglab.atlas import build_atlas, h_minus, h_plus, h_t, named_shape
 
 
 def params(shape, *, d=2, ell=2, alpha=4.0, c=None, grid=(1.0,),
@@ -200,6 +199,14 @@ def test_params_validation(k2, path3):
         covariance_M(params(k2, c=None))
     with pytest.raises(InvalidParameterError):
         covariance_L(params(k2, alpha=None))
+    # the annulus starts at R: K >= 1 in the heavy family, K >= 0 in the light one
+    for K in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="annulus needs 1 <= K < L"):
+            params(k2, annulus=(K, 2.0))
+    for K in (-0.5, math.nan):
+        with pytest.raises(InvalidParameterError, match="annulus needs 0 <= K < L"):
+            params(k2, c=1.0, annulus=(K, 2.0))
+    assert params(k2, c=1.0, annulus=(0.5, 2.0)).annulus == (0.5, 2.0)
 
 
 def _boundary_configs(d: int, t: float) -> np.ndarray:
@@ -222,13 +229,14 @@ def test_indicator_values_match_reference(rng, path3):
     for d in (1, 2, 3):
         tie = _boundary_configs(d, grid[1])
         assert np.all(np.linalg.norm(tie[:, 0] - tie[:, 1], axis=1) == grid[1])
-        assert np.array_equal(indicator_values(path3, tie, grid, "h"),
+        assert np.array_equal(_mode_values(build_atlas(3), path3, tie, grid, "h"),
                               np.tile([False, True, False], (d, 1)))
         cases.append((path3, np.concatenate([tie, rng.normal(size=(20, 3, d))])))
     for shape, cfgs in cases:
-        vals = indicator_values(shape, cfgs, grid, "h")
-        plus = indicator_values(shape, cfgs, grid, "plus")
-        minus = indicator_values(shape, cfgs, grid, "minus")
+        atlas = build_atlas(shape.k)
+        vals = _mode_values(atlas, shape, cfgs, grid, "h")
+        plus = _mode_values(atlas, shape, cfgs, grid, "plus")
+        minus = _mode_values(atlas, shape, cfgs, grid, "minus")
         for i in range(len(cfgs)):
             for j, t in enumerate(grid):
                 assert vals[i, j] == h_t(cfgs[i], t, shape)
@@ -250,6 +258,7 @@ def _einsum_reference(p: OracleParams, mode: str, light: bool):
         scale = d_constant(d, k, ell) / rate * volume ** (2 * k - ell - 1)
     else:
         scale = b_constant(d, k, ell, p.alpha) * volume ** (2 * k - ell - 1)
+    atlas = build_atlas(k)
     rng = np.random.default_rng(p.seed)
     sum_m = np.zeros((grid.size, grid.size))
     sq_m = np.zeros_like(sum_m)
@@ -257,14 +266,14 @@ def _einsum_reference(p: OracleParams, mode: str, light: bool):
     while remaining > 0:
         count = min(1 << 15, remaining)
         remaining -= count
-        shared = _ball_points(rng, count, n_shared, d, radius)
-        z1 = _ball_points(rng, count, n_z, d, radius)
-        z2 = _ball_points(rng, count, n_z, d, radius)
+        shared = _scale_points(*_ball_draws(rng, count, n_shared, d, radius))
+        z1 = _scale_points(*_ball_draws(rng, count, n_z, d, radius))
+        z2 = _scale_points(*_ball_draws(rng, count, n_z, d, radius))
         zeros = np.zeros((count, 1, d))
-        a1 = indicator_values(p.shape, np.concatenate([zeros, shared, z1], axis=1),
-                              grid, mode).astype(float)
-        a2 = indicator_values(p.shape, np.concatenate([zeros, shared, z2], axis=1),
-                              grid, mode).astype(float)
+        a1 = _mode_values(atlas, p.shape, np.concatenate([zeros, shared, z1], axis=1),
+                          grid, mode).astype(float)
+        a2 = _mode_values(atlas, p.shape, np.concatenate([zeros, shared, z2], axis=1),
+                          grid, mode).astype(float)
         w = np.ones(count)
         if light:
             rho = rng.exponential(1.0 / rate, size=count)
@@ -347,8 +356,9 @@ def test_radius_prefilter_keeps_what_can_connect(k):
     shape = named_shape(k, "path")
     # consecutive points lie at exactly t_max, and the chain reads connected there
     assert np.all(np.diff(chain[0, :, 0]) == t_max)
-    assert indicator_values(shape, chain, [t_max], "h").all()
-    assert not indicator_values(shape, chain, [np.nextafter(t_max, 0)], "plus").any()
+    assert _mode_values(build_atlas(k), shape, chain, [t_max], "h").all()
+    assert not _mode_values(build_atlas(k), shape, chain, [np.nextafter(t_max, 0)],
+                            "plus").any()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -362,8 +372,8 @@ def test_radius_prefilter_rejects_only_dead_rows(d, path3):
     dead = np.setdiff1d(np.arange(count), rows)
     pts = _scale_points(*draws[0])
     cfg = np.concatenate([np.zeros((count, 1, d)), pts], axis=1)
-    assert not indicator_values(path3, cfg[dead], [t_max], "plus").any()
-    assert indicator_values(path3, cfg[rows], [t_max], "plus").any()
+    assert not _mode_values(build_atlas(3), path3, cfg[dead], [t_max], "plus").any()
+    assert _mode_values(build_atlas(3), path3, cfg[rows], [t_max], "plus").any()
 
 
 def test_light_oracle_finite_at_small_c(k2):
@@ -377,14 +387,15 @@ def test_light_oracle_finite_at_small_c(k2):
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
 def test_ball_points_match_plain_formula(d):
     # directions z / |z| scaled by radius * u^(1/d), from the same draws
-    got = _ball_points(np.random.default_rng(d), 3000, 3, d, 2.5)
+    got = _scale_points(*_ball_draws(np.random.default_rng(d), 3000, 3, d, 2.5))
     rng = np.random.default_rng(d)
     z = rng.standard_normal((3000, 3, d))
     r = 2.5 * rng.random((3000, 3)) ** (1.0 / d)
     want = z / np.linalg.norm(z, axis=2, keepdims=True) * r[:, :, None]
     assert np.array_equal(got, want)
     assert np.linalg.norm(got, axis=2).max() <= 2.5
-    assert _ball_points(np.random.default_rng(d), 10, 0, d, 2.5).shape == (10, 0, d)
+    empty = _scale_points(*_ball_draws(np.random.default_rng(d), 10, 0, d, 2.5))
+    assert empty.shape == (10, 0, d)
 
 
 def test_accumulate_unit_weights_bit_identical(rng):
