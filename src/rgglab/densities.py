@@ -14,6 +14,8 @@ exterior probability underflows (intensities up to ~1e300 are fine).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,9 @@ _TAIL_CACHE_SIZE = 256       # memoized tail integrals kept per density
 # were no faster, and every cached exterior table holds its own
 _BUCKETS = 1 << 14
 _CHUNK = 8192                # rows per cache-sized pass over a full cloud
+_FILLER = ThreadPoolExecutor(1)   # starts its thread on the first submit
+if hasattr(os, "register_at_fork"):   # a forked child inherits no helper thread
+    os.register_at_fork(after_in_child=lambda: globals().update(_FILLER=ThreadPoolExecutor(1)))
 
 
 @dataclass
@@ -273,7 +278,10 @@ class RadialDensity:
         draws leave it, but with no more than a chunk of u held at a time.
 
         ``rng`` draws u chunk by chunk while a second generator, advanced
-        past them, draws the directions into the output.  This needs a PCG64
+        past them, draws the directions into the output: above one chunk on
+        ``_FILLER``, in chunk order, so that the bits do not depend on the
+        thread.  One helper serves the process, as one per call would crowd
+        the cores that replication workers fill.  This needs a PCG64
         generator, whose random doubles take one 64-bit word each.
         """
         bits = getattr(rng, "bit_generator", None)
@@ -286,10 +294,19 @@ class RadialDensity:
         normals.bit_generator.state = start
         normals.bit_generator.advance(size)
         z = np.empty((size, self.d))
-        for lo in range(0, size, _CHUNK):
-            chunk = z[lo:lo + _CHUNK]
-            normals.standard_normal(out=chunk)
-            _scale_directions(chunk, radius(rng.random(chunk.shape[0])))
+        if size <= _CHUNK:                    # fills inline, never starting _FILLER
+            _scale_directions(normals.standard_normal(out=z), radius(rng.random(size)))
+        else:
+            chunks = [z[lo:lo + _CHUNK] for lo in range(0, size, _CHUNK)]
+            fills = [_FILLER.submit(normals.standard_normal, out=chunk) for chunk in chunks]
+            try:
+                for chunk, fill in zip(chunks, fills):
+                    r = radius(rng.random(chunk.shape[0]))
+                    fill.result()
+                    _scale_directions(chunk, r)
+            finally:                          # drops the pending fills after an error
+                for fill in fills:
+                    fill.cancel()
         # rng goes on after the directions with its buffered 32-bit word,
         # which random doubles never use and advance drops
         bits.state = {**normals.bit_generator.state, "has_uint32": start["has_uint32"],

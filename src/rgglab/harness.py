@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ExperimentError(f"band: needs lo <= hi, got {self.band}")
         if self.annulus is not None and not self.annulus[0] < self.annulus[1]:
             raise ExperimentError(f"annulus: needs K < L, got {self.annulus}")
+        if not math.isfinite(self.t_ref):
+            raise ExperimentError(f"t_ref: needs a finite value, got {self.t_ref}")
+        if self.workers < 1:
+            raise ExperimentError(f"workers: needs at least 1, got {self.workers}")
 
 
 @dataclass

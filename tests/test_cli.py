@@ -505,7 +505,11 @@ def test_oracle_annulus_flags_restrict_or_are_refused(capsys):
     assert out == run_cli(capsys, *mixture, "--K", "1")[1]
 
 
-def test_bad_input_is_a_typed_error_exit_2(capsys):
+def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_CLT)
+    experiment = ("experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                  "--set")
     oracle = ("oracle", "--kind", "L", "--k", "2", "--ell", "2", "--alpha", "4",
               "--samples", "20000")
     count = ("count", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
@@ -536,6 +540,10 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
          "intensity must be positive and finite, got nan"),
         (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",
           "power", "--n-range", "1e2"), "[regime] --n-range: expected two numbers"),
+        ((*experiment, "experiment.t_ref=nan"), "[experiment] t_ref: needs a finite value"),
+        ((*experiment, "experiment.t_ref=-inf"), "[experiment] t_ref: needs a finite value"),
+        ((*experiment, "experiment.workers=-3"), "[experiment] workers: needs at least 1, got -3"),
+        ((*experiment, "experiment.workers=0"), "[experiment] workers: needs at least 1, got 0"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")    # a numpy warning is not a typed error
@@ -543,6 +551,19 @@ def test_bad_input_is_a_typed_error_exit_2(capsys):
         assert code == 2 and out == "", argv
         assert f"configuration error: {message}" in err, argv
         assert err.startswith("configuration error: ") and err.count("\n") == 1, argv
+
+
+def test_process_exits_with_the_helper_thread_idle():
+    """A full cloud above one chunk fills its directions on the helper
+    thread, and the idle helper does not hold the interpreter open."""
+    code = ("import threading, numpy as np\n"
+            "from rgglab.densities import PowerLawDensity\n"
+            "PowerLawDensity(2, 4.0).sample(np.random.default_rng(1), 20000)\n"
+            "print(threading.active_count())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2\n"                # the main thread and the helper
 
 
 def test_count_annulus_in_the_family_units(capsys):

@@ -1,8 +1,13 @@
 """Radial laws: normalization, samplers, tails, and derived radii."""
 
+import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from scipy import integrate, interpolate, stats
 
 from rgglab.counting import CountRequest, count_subgraphs
 from rgglab.densities import (
+    CoreSchedule,
     InvalidParameterError,
     LogBandSchedule,
     PoissonLayerSchedule,
@@ -475,6 +481,120 @@ def test_sample_keeps_draw_everything_stream(d):
                 assert rng.bit_generator.state == ref.bit_generator.state, (shift, n, buffered)
                 assert rng.integers(0, 2**31, size=3, dtype=np.int32).tolist() \
                     == ref.integers(0, 2**31, size=3, dtype=np.int32).tolist()
+
+
+def test_concurrent_clouds_share_one_helper_bit_for_bit(monkeypatch, power24, k2):
+    """Multi-chunk clouds sampled by four replication workers at once keep
+    the bits and generator states of one worker and of the draw-everything
+    stream, and their directions fill on one helper thread, not one per call."""
+    from rgglab import densities, harness
+    from rgglab.densities import _CHUNK
+
+    cfg = harness.ExperimentConfig(density=power24, schedule=CoreSchedule(), shape=k2,
+                                   t_grid=[1.0], n_ladder=(3e4,), replications=8)
+    scale, alive = densities._scale_directions, []
+
+    def scale_counting_threads(z, r):
+        alive.append(threading.active_count())
+        scale(z, r)
+
+    monkeypatch.setattr(densities, "_scale_directions", scale_counting_threads)
+    power24.sample(np.random.default_rng(0), 2 * _CHUNK)     # the helper is up
+    baseline = threading.active_count()
+
+    def work(rep, rng):
+        return sample_poisson_cloud(cfg.n_ladder[-1], power24, rng).points, rng.bit_generator.state
+
+    alive.clear()
+    runs = [harness._run_replications(dataclasses.replace(cfg, workers=w), 0, work)
+            for w in (1, 4)]
+    assert max(alive) <= baseline + 4                        # the pool's 4 threads
+    for rep, ((serial, serial_state), (pooled, pooled_state)) in enumerate(zip(*runs)):
+        ref = np.random.default_rng(harness.replication_seed(cfg.master_seed, 0, rep))
+        u = ref.random(ref.poisson(cfg.n_ladder[-1]))
+        assert u.size > 3 * _CHUNK
+        expected = _expected_sample(power24, power24._radial_inverse(), 0.0, u, ref, True)
+        assert np.array_equal(serial, expected) and np.array_equal(pooled, expected), rep
+        assert serial_state == pooled_state == ref.bit_generator.state, rep
+
+
+def test_one_chunk_cloud_fills_inline(monkeypatch, power24):
+    """A cloud of at most one chunk never reaches the helper thread."""
+    from rgglab import densities
+    from rgglab.densities import _CHUNK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the helper was asked to fill")
+
+    monkeypatch.setattr(densities._FILLER, "submit", refuse)
+    for draw in (power24.sample, lambda g, n: power24.sample_exterior(g, n, 2.0)):
+        assert draw(np.random.default_rng(2), _CHUNK).shape == (_CHUNK, 2)
+        with pytest.raises(AssertionError, match="helper"):
+            draw(np.random.default_rng(2), _CHUNK + 1)
+
+
+class _RadiusFailed(Exception):
+    pass
+
+
+def test_failed_radius_cancels_pending_fills(monkeypatch, power24):
+    """A radius that raises on the second chunk propagates its own exception
+    and cancels the fills still queued; the next multi-chunk sample keeps
+    the draw-everything stream's bits and state."""
+    from rgglab import densities
+    from rgglab.densities import _CHUNK
+
+    submit, gate, held, fills = densities._FILLER.submit, threading.Event(), [], []
+
+    def gated_submit(fn, out):
+        if fills:
+            fills.append(submit(fn, out=out))
+            return fills[-1]
+        first = Future()
+
+        def fill_then_hold():             # holds the helper, so later fills stay queued
+            first.set_result(fn(out=out))
+            gate.wait(timeout=10)
+
+        held.append(submit(fill_then_hold))
+        fills.append(first)
+        return first
+
+    calls = []
+
+    def radius(u):
+        calls.append(u.size)
+        if len(calls) == 2:
+            raise _RadiusFailed
+        return 1.0 + u
+
+    monkeypatch.setattr(densities._FILLER, "submit", gated_submit)
+    try:
+        with pytest.raises(_RadiusFailed):
+            power24._points(np.random.default_rng(4), 4 * _CHUNK, radius)
+        assert [fill.cancelled() for fill in fills] == [False, True, True, True]
+    finally:
+        gate.set()
+    held[0].result(timeout=10)
+    monkeypatch.undo()
+
+    n = 3 * _CHUNK + 17
+    ref, rng = np.random.default_rng(8), np.random.default_rng(8)
+    expected = _expected_sample(power24, power24._radial_inverse(), 0.0, ref.random(n), ref, True)
+    assert np.array_equal(power24.sample(rng, n), expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper(power24):
+    """A child forked once the helper runs inherits no helper thread, so it
+    starts its own: its multi-chunk samples finish, with the same bits."""
+    from rgglab.densities import _CHUNK
+
+    expected = power24.sample(np.random.default_rng(5), 2 * _CHUNK + 1)   # the helper is up
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(power24.sample, (np.random.default_rng(5), 2 * _CHUNK + 1))
+        assert np.array_equal(got.get(timeout=30), expected)
 
 
 def test_sample_refuses_other_bit_generators(power24):

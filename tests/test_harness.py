@@ -89,9 +89,12 @@ def test_clt_refuses_boundary_schedule(power24, k2):
     cfg = small_cfg(power24, k2, schedule=PowerSchedule(beta=0.4))
     with pytest.raises(BoundaryRegimeError):
         run_clt_experiment(cfg)
-    # a band needs lo <= hi and an annulus K < L, also in a config built in code
+    # a band needs lo <= hi, an annulus K < L, t_ref a finite value and
+    # workers at least 1, also in a config built in code
     for key, value in (("band", (1.2, 0.8)), ("band", (math.nan, 2.0)),
-                       ("annulus", (2.0, 1.0)), ("annulus", (1.0, math.nan))):
+                       ("annulus", (2.0, 1.0)), ("annulus", (1.0, math.nan)),
+                       ("t_ref", math.nan), ("t_ref", math.inf), ("workers", 0),
+                       ("workers", -3)):
         with pytest.raises(ExperimentError, match=f"^{key}: "):
             small_cfg(power24, k2, **{key: value})
 
