@@ -11,8 +11,7 @@ disconnected mask reads -1.  Classifying a bitmask is an array read for
 every k.
 ``Atlas.indicators`` classifies batches of k-point configurations over a
 radius grid; the counting engine, the limit oracle and the Palm check all
-read it, and the scalar ``h_t`` family below is the reference it is tested
-against.
+read it.
 
 Bit layout: pair (i, j), i < j, occupies bit ``i*k - i*(i+1)//2 + (j-i-1)``,
 i.e. pairs in lexicographic order.
@@ -115,12 +114,11 @@ class GraphShape:
 
     k: int
     edges: tuple[tuple[int, int], ...]
-    edge_count: int
     canonical_form: int
 
-    def __post_init__(self) -> None:
-        if self.edge_count != len(self.edges):
-            raise ValueError("edge_count must equal |edges|")
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
 
     @property
     def mask(self) -> int:
@@ -144,19 +142,16 @@ class Atlas:
     _class_table: np.ndarray = field(repr=False)
 
     # -- classification ----------------------------------------------------
-    def class_index_of_mask(self, mask: int) -> int:
-        """Index into ``classes`` for a connected mask, -1 if disconnected."""
-        return int(self._class_indices(np.array([mask], dtype=np.int64))[0])
-
     def classify_mask(self, mask: int) -> GraphShape | None:
-        idx = self.class_index_of_mask(mask)
+        """The class of a connected mask, None if it is disconnected."""
+        idx = int(self._class_table[mask])
         return None if idx < 0 else self.classes[idx]
 
     def shape_index(self, shape: GraphShape) -> int:
         return self._canon_to_index[shape.canonical_form]
 
     def _class_indices(self, masks: np.ndarray) -> np.ndarray:
-        """Elementwise ``class_index_of_mask`` over an integer mask array."""
+        """Index into ``classes`` of each mask, -1 where it is disconnected."""
         return np.take(self._class_table, masks)
 
     def indicators(self, configs: np.ndarray, t_grid: np.ndarray,
@@ -248,7 +243,7 @@ def build_atlas(k: int) -> Atlas:
     classes = []
     for canon in _class_masks(k):
         edges = _edges_of_mask(canon, k)
-        classes.append(GraphShape(k=k, edges=edges, edge_count=len(edges), canonical_form=canon))
+        classes.append(GraphShape(k=k, edges=edges, canonical_form=canon))
     classes.sort(key=lambda s: (s.edge_count, s.canonical_form))
     return Atlas(
         k=k,
@@ -293,44 +288,3 @@ def named_shape(k: int, name: str) -> GraphShape:
     else:
         raise ValueError(f"unknown shape name {name!r}")
     return shape_from_edges(k, edges)
-
-
-# ---------------------------------------------------------------------------
-# Indicator family over point configurations
-# ---------------------------------------------------------------------------
-
-def config_mask(points: np.ndarray, t: float) -> int:
-    """Edge bitmask of the geometric graph of ``points`` at radius t (closed)."""
-    pts = np.asarray(points, dtype=float)
-    k = pts.shape[0]
-    pb = pair_bit_index(k)
-    mask = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.linalg.norm(pts[i] - pts[j]) <= t:
-                mask |= 1 << pb[i, j]
-    return mask
-
-
-def h_t(points: np.ndarray, t: float, shape: GraphShape) -> int:
-    """1 iff the geometric graph at radius t is isomorphic to ``shape``."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] != shape.k:
-        raise ValueError(f"config has {pts.shape[0]} points, shape.k = {shape.k}")
-    atlas = build_atlas(shape.k)
-    return int(atlas.class_index_of_mask(config_mask(pts, t)) == atlas.shape_index(shape))
-
-
-def h_minus(points: np.ndarray, t: float, shape: GraphShape) -> int:
-    """1 iff the geometric graph is connected with more than shape.edge_count edges."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] != shape.k:
-        raise ValueError(f"config has {pts.shape[0]} points, shape.k = {shape.k}")
-    atlas = build_atlas(shape.k)
-    cls = atlas.classify_mask(config_mask(pts, t))
-    return int(cls is not None and cls.edge_count > shape.edge_count)
-
-
-def h_plus(points: np.ndarray, t: float, shape: GraphShape) -> int:
-    """1 iff isomorphic to ``shape`` or connected with more edges; h = h_plus - h_minus."""
-    return h_t(points, t, shape) + h_minus(points, t, shape)

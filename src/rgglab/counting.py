@@ -112,12 +112,7 @@ class CountRequest:
 
 @dataclass
 class CountingCurve:
-    t_grid: np.ndarray
     counts: np.ndarray
-    mode: str
-    R: float
-    seed: object = None
-    shape: GraphShape | None = None
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -157,13 +152,9 @@ def subset_indicators(cloud: PointCloud,
 def count_decomposed(cloud: PointCloud, req: CountRequest):
     """One pass producing the h, h+, h- curves (h = plus - minus pointwise)."""
     h_ind, minus_ind = subset_indicators(cloud, req)
-    h_counts = h_ind.sum(axis=0, dtype=np.int64)
-    minus_counts = minus_ind.sum(axis=0, dtype=np.int64)
-    common = dict(t_grid=req.t_grid, R=req.R, seed=cloud.seed, shape=req.shape)
-    h = CountingCurve(counts=h_counts, mode=MODE_H, **common)
-    minus = CountingCurve(counts=minus_counts, mode=MODE_MINUS, **common)
-    plus = CountingCurve(counts=h_counts + minus_counts, mode=MODE_PLUS, **common)
-    return h, plus, minus
+    h = h_ind.sum(axis=0, dtype=np.int64)
+    minus = minus_ind.sum(axis=0, dtype=np.int64)
+    return CountingCurve(h), CountingCurve(h + minus), CountingCurve(minus)
 
 
 def count_subgraphs(cloud: PointCloud, req: CountRequest) -> CountingCurve:
@@ -291,8 +282,7 @@ def count_subgraphs_exhaustive(cloud: PointCloud, req: CountRequest) -> Counting
                 out[0, g] = iso[inv].sum()
                 out[1, g] = more[inv].sum()
     counts = {MODE_H: out[0], MODE_PLUS: out[0] + out[1], MODE_MINUS: out[1]}[req.mode]
-    return CountingCurve(t_grid=t_grid, counts=counts, mode=req.mode, R=req.R,
-                         seed=cloud.seed, shape=req.shape)
+    return CountingCurve(counts=counts)
 
 
 # ---------------------------------------------------------------------------

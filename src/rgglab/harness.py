@@ -617,8 +617,7 @@ def write_report(report: ExperimentReport, out_dir: Path) -> dict:
 def write_covariance_csv(cov: LimitCovariance, path: Path) -> None:
     """Matrix and SEs as CSV rows with a provenance header."""
     with open(path, "w") as fh:
-        prov = {k: v for k, v in cov.provenance.items() if k != "terms"}
-        fh.write(f"# provenance: {json.dumps(prov, sort_keys=True, default=str)}\n")
+        fh.write(f"# provenance: {json.dumps(cov.provenance, sort_keys=True, default=str)}\n")
         write_covariance_rows(cov, fh)
 
 

@@ -383,7 +383,6 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
     T = params.t_grid.size
     matrix = np.zeros((T, T))
     var = np.zeros((T, T))
-    terms = []
     for ell in ells:
         sub = replace(params, ell=ell, seed=params.seed + ell,
                       annulus=annulus if light else None)
@@ -393,10 +392,8 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
             weight *= _heavy_weight(params.d, k, ell, params.alpha, annulus)
         matrix += weight * block.matrix
         var += (weight * block.std_err) ** 2
-        terms.append({"ell": ell, "weight": weight, "provenance": block.provenance})
     family = "light" if light else "heavy"
-    prov = {"formula": f"mixture_{family}_{tag}", "xi": xi,
-            "annulus": annulus, "terms": terms}
+    prov = {"formula": f"mixture_{family}_{tag}", "xi": xi, "annulus": annulus}
     return LimitCovariance(t_grid=params.t_grid.copy(), matrix=matrix,
                            std_err=np.sqrt(var), provenance=prov)
 

@@ -1,4 +1,4 @@
-"""Atlas enumeration, canonical forms, and the indicator family."""
+"""Atlas enumeration, canonical forms, and ``Atlas.indicators``."""
 
 import itertools
 
@@ -10,10 +10,6 @@ from rgglab.atlas import (
     UnsupportedOrderError,
     build_atlas,
     canonical_masks,
-    config_mask,
-    h_minus,
-    h_plus,
-    h_t,
     named_shape,
     pair_bit_index,
     shape_from_edges,
@@ -107,47 +103,54 @@ def test_classify_matches_networkx(rng):
 
 
 def test_geometric_graph_examples():
-    pb = pair_bit_index(3)
+    # the edge of pair (i, j) at radius t is the K2 indicator of (x_i, x_j);
+    # pairs in bit order (0, 1), (0, 2), (1, 2)
+    pairs = np.array(list(itertools.combinations(range(3), 2)))
+    edge = named_shape(2, "edge")
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert config_mask(pts, 1.0) == (1 << pb[0, 1]) | (1 << pb[1, 2])
-    assert config_mask(pts, 0.0) == 0
+    h, _ = build_atlas(2).indicators(pts[pairs], np.array([0.0, 1.0]), edge)
+    assert h.T.tolist() == [[False, False, False], [True, False, True]]
     eq = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-    assert config_mask(eq, 1.0) == 0b111
+    h, _ = build_atlas(2).indicators(eq[pairs], np.array([1.0]), edge)
+    assert h.T.tolist() == [[True, True, True]]
 
 
 def test_h_examples(path3, triangle):
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert h_t(pts, 1.0, path3) == 1
-    assert h_t(pts, 1.0, triangle) == 0
-    assert h_t(pts, 0.5, path3) == 0 and h_t(pts, 0.5, triangle) == 0
+    pts = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    grid = np.array([1.0, 0.5])
+    h, _ = build_atlas(3).indicators(pts, grid, path3)
+    assert h.tolist() == [[True, False]]
+    h, _ = build_atlas(3).indicators(pts, grid, triangle)
+    assert h.tolist() == [[False, False]]
 
 
 def test_h_plus_minus_examples(path3):
-    eq = np.array([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-    assert h_plus(eq, 1.0, path3) == 1
-    assert h_minus(eq, 1.0, path3) == 1
-    assert h_t(eq, 1.0, path3) == 0
-    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert h_plus(line, 1.0, path3) == 1
-    assert h_minus(line, 1.0, path3) == 0
+    # h^+ = h + h^-: the triangle is in h^+ and h^- of the 3-path, not in h
+    eq = np.array([[[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]]])
+    h, minus = build_atlas(3).indicators(eq, np.array([1.0]), path3)
+    assert h.tolist() == [[False]] and minus.tolist() == [[True]]
+    line = np.array([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    h, minus = build_atlas(3).indicators(line, np.array([1.0]), path3)
+    assert h.tolist() == [[True]] and minus.tolist() == [[False]]
 
 
 def test_decomposition_and_monotonicity(rng):
+    # h and h^- never both hold, so h^+ = h + h^- is an indicator; h^+ and h^-
+    # are nondecreasing in t
     atlas = build_atlas(4)
     for _ in range(50):
         pts = rng.normal(size=(4, 3)) * 1.5
         shape = atlas.classes[int(rng.integers(len(atlas.classes)))]
         s, t = sorted(rng.uniform(0.1, 3.0, size=2))
-        for radius in (s, t):
-            hp, hm, h = (h_plus(pts, radius, shape), h_minus(pts, radius, shape),
-                         h_t(pts, radius, shape))
-            assert h == hp - hm
-            assert hm <= hp
-        assert h_plus(pts, s, shape) <= h_plus(pts, t, shape)
-        assert h_minus(pts, s, shape) <= h_minus(pts, t, shape)
+        h, minus = atlas.indicators(pts[None], np.array([s, t]), shape)
+        assert not np.any(h & minus)
+        plus = h | minus
+        assert plus[0, 0] <= plus[0, 1]
+        assert minus[0, 0] <= minus[0, 1]
 
 
 def test_shift_rotation_scaling_invariance(rng, triangle, path3):
+    atlas = build_atlas(3)
     for shape in (triangle, path3):
         for _ in range(25):
             pts = rng.normal(size=(3, 2))
@@ -156,10 +159,11 @@ def test_shift_rotation_scaling_invariance(rng, triangle, path3):
             theta = rng.uniform(0, 2 * np.pi)
             rot = np.array([[np.cos(theta), -np.sin(theta)],
                             [np.sin(theta), np.cos(theta)]])
-            base = h_t(pts, t, shape)
-            assert h_t(pts + shift, t, shape) == base
-            assert h_t(pts @ rot.T, t, shape) == base
-            assert h_t(pts / t, 1.0, shape) == base
+            h, _ = atlas.indicators(np.stack([pts, pts + shift, pts @ rot.T]),
+                                    np.array([t]), shape)
+            scaled, _ = atlas.indicators((pts / t)[None], np.array([1.0]), shape)
+            assert h.ravel().tolist() == [h[0, 0]] * 3
+            assert scaled[0, 0] == h[0, 0]
 
 
 def test_support_bound(rng):
@@ -173,13 +177,13 @@ def test_support_bound(rng):
         direction = rng.normal(size=2)
         pts[far] = direction / np.linalg.norm(direction) * (4 * t * 1.01)
         for shape in atlas.classes:
-            assert h_t(pts, t, shape) == 0
-            assert h_plus(pts, t, shape) == 0
+            h, minus = atlas.indicators(pts[None], np.array([t]), shape)
+            assert not h.any() and not minus.any()
 
 
 def test_coincident_points_allowed(k2):
-    pts = np.zeros((2, 2))
-    assert h_t(pts, 0.0, k2) == 1   # distance 0 -> edge at every t >= 0
+    h, _ = build_atlas(2).indicators(np.zeros((1, 2, 2)), np.array([0.0]), k2)
+    assert h.tolist() == [[True]]   # distance 0 -> edge at every t >= 0
 
 
 def test_shape_helpers():
@@ -306,12 +310,9 @@ def test_indicators_keep_pairwise_norm_from_d8(d):
         assert h.tolist() == [[True]]
 
 
-def test_config_mask_boundary_tie():
+def test_indicators_boundary_tie():
     # distance ties use the closed ball: an edge at exactly ||x-y|| = t
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    pb = pair_bit_index(2)
-    assert config_mask(pts, 1.0) == 1 << pb[0, 1]
-    assert config_mask(pts, 0.999) == 0
     h, minus = build_atlas(2).indicators(pts[None], np.array([0.999, 1.0]),
                                          named_shape(2, "edge"))
     assert h.tolist() == [[False, True]]

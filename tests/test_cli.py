@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -371,6 +372,26 @@ def test_readme_ini_example_parses():
     for section, keys in _SCHEMA.items():
         named = set(re.findall(r"^;? ?(\w+) = ", sections[section], re.M))
         assert named == keys, section
+
+
+def test_readme_cli_examples_parse():
+    """Every ``rgglab ...`` line of the README's command-line block parses,
+    with ``\\`` continuations joined and ``#`` comments dropped; the lines
+    cover every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    parser = build_parser()
+    seen = set()
+    for argv in filter(None, lines):
+        assert argv[0] == "rgglab", argv
+        args = parser.parse_args(argv[1:])
+        assert args.command == argv[1]
+        seen.add(args.command)
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    assert seen == subcommands.keys()
 
 
 def test_shipped_config_parses_and_echoes():

@@ -165,7 +165,7 @@ def test_invalid_requests(k2):
         with pytest.raises(InvalidRequestError, match="annulus"):
             CountRequest(shape=k2, t_grid=np.array([1.0]), annulus=annulus)
     with pytest.raises(ValueError):
-        CountingCurve(t_grid=np.array([1.0]), counts=np.array([-1]), mode="h", R=0.0)
+        CountingCurve(counts=np.array([-1]))
 
 
 def _brute_force_csr(pts, radius):

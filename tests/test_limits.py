@@ -1,8 +1,10 @@
 """Limit oracle: constants, MC covariances, mixtures, Brownian identity,
 self-similarity, and exact pair cumulants."""
 
+import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -28,7 +30,7 @@ from rgglab.limits import (
     _scale_points,
     _within_reach,
 )
-from rgglab.atlas import build_atlas, h_minus, h_plus, h_t, named_shape
+from rgglab.atlas import build_atlas, named_shape
 
 
 def params(shape, *, d=2, ell=2, alpha=4.0, c=None, grid=(1.0,),
@@ -220,6 +222,19 @@ def _boundary_configs(d: int, t: float) -> np.ndarray:
     return cfgs
 
 
+def _networkx_indicators(cfg: np.ndarray, t: float, shape) -> tuple[bool, bool, bool]:
+    """(h, plus, minus) of one configuration at radius t, from a networkx
+    graph with an edge wherever ``np.linalg.norm(p_i - p_j) <= t``."""
+    g = nx.Graph()
+    g.add_nodes_from(range(shape.k))
+    g.add_edges_from((i, j) for i, j in itertools.combinations(range(shape.k), 2)
+                     if np.linalg.norm(cfg[i] - cfg[j]) <= t)
+    connected = nx.is_connected(g)
+    h = connected and nx.is_isomorphic(g, nx.Graph(shape.edges))
+    minus = connected and g.number_of_edges() > len(shape.edges)
+    return h, h or minus, minus
+
+
 def test_indicator_values_match_reference(rng, path3):
     grid = np.array([0.4, 0.9, 1.7])
     # k = 7: jittered unit-step chains along e1
@@ -239,9 +254,8 @@ def test_indicator_values_match_reference(rng, path3):
         minus = _mode_values(atlas, shape, cfgs, grid, "minus")
         for i in range(len(cfgs)):
             for j, t in enumerate(grid):
-                assert vals[i, j] == h_t(cfgs[i], t, shape)
-                assert plus[i, j] == h_plus(cfgs[i], t, shape)
-                assert minus[i, j] == h_minus(cfgs[i], t, shape)
+                assert (vals[i, j], plus[i, j], minus[i, j]) == \
+                    _networkx_indicators(cfgs[i], t, shape), (shape, i, t)
         assert vals.any() and minus.any(), (shape, cfgs.shape)
 
 
