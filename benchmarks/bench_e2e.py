@@ -12,6 +12,10 @@ It writes their figures, the gate results (``correct``, ``attempted``,
 ``failed``) and perfbench's environment line to ``BENCH_<label>.json`` at
 the root of the checkout.  perfbench's gates, bounds and reference are
 used as they are; a run that fails its checks is recorded, not hidden.
+
+The runs compile rgglab from source, as a fresh clone does: the children
+write no bytecode, and the script exits 2, naming the files, if any ``.pyc``
+file lies under ``src/``, since a cached import shortens ``setup_s``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +39,8 @@ def run_perfbench(workload: str, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=False)
+        cwd=ROOT, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench/run.py {workload} --trace {trace} exited "
@@ -52,6 +58,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     args = p.parse_args(argv)
+    cached = sorted(str(path.relative_to(ROOT)) for path in (ROOT / "src").rglob("*.pyc"))
+    if cached:
+        sys.stderr.write("bytecode under src/ would shorten setup_s; delete it first:\n"
+                         + "".join(f"  {path}\n" for path in cached))
+        return 2
 
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                             capture_output=True, text=True, check=False).stdout.strip()

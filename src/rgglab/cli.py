@@ -18,11 +18,12 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .atlas import GraphShape, build_atlas
+from .atlas import build_atlas
 from .config import (
     ConfigError,
     _float_list,
@@ -33,17 +34,9 @@ from .config import (
     build_shape,
     parse_config,
 )
-from .counting import (
-    CloudFormatError,
-    CountRequest,
-    count_decomposed,
-    load_cloud,
-    save_cloud,
-)
+from .counting import CountRequest, count_decomposed
 from .densities import (
     InvalidParameterError,
-    RadialDensity,
-    RadiusSchedule,
     ScheduleUndefinedError,
     UnsupportedOperationError,
     core_radius,
@@ -86,19 +79,31 @@ def _output(path: str | None):
         yield fh
 
 
-def _config_section(name: str, values: dict) -> configparser.ConfigParser:
-    """Flags as one INI section, so they go through the config file's rules."""
+# per config section, its builder and the flag (argparse dest) of each key
+_SECTIONS = {
+    "density": (build_density, {"family": "family", "d": "d", "alpha": "alpha",
+                                "tau": "tau"}),
+    "shape": (build_shape, {"k": "k", "name": "shape_name", "edges": "edges"}),
+    "schedule": (build_schedule, {"kind": "schedule", "beta": "beta", "c0": "c0",
+                                  "k": "layer_k"}),
+}
+
+
+def _from_flags(args, section: str):
+    """The section built from the flags given, as one INI section, so that
+    they go through the config file's rules; an unset flag leaves its key to
+    the builder's default."""
+    build, dests = _SECTIONS[section]
     parser = configparser.ConfigParser(interpolation=None)
-    parser[name] = values
-    return parser
+    parser[section] = {key: str(getattr(args, dest)) for key, dest in dests.items()
+                       if getattr(args, dest) is not None}
+    return build(parser)
 
 
-def _density_from_args(args) -> RadialDensity:
-    values = {"family": args.family, "d": str(args.d)}
-    for key in ("alpha", "tau"):
-        if getattr(args, key) is not None:
-            values[key] = repr(getattr(args, key))
-    return build_density(_config_section("density", values))
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given; the others keep the
+    library's defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _add_density_flags(sub):
@@ -116,7 +121,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_radii(args) -> int:
-    density = _density_from_args(args)
+    density = _from_flags(args, "density")
     layers = _int_list("radii", "--k-layers", args.k_layers)
     header = ["n", "R_weak", "R_core"] + [f"R_layer_k{k}" for k in layers]
     lines = [",".join(header)]
@@ -135,15 +140,15 @@ def _cmd_radii(args) -> int:
     return 0
 
 
+def _cloud(args, density):
+    """The cloud that ``sample`` prints and ``count`` counts: the seed fixes it."""
+    return sample_poisson_cloud(args.n, density, np.random.default_rng(args.seed),
+                                exterior_radius=args.exterior_radius, seed=args.seed)
+
+
 def _cmd_sample(args) -> int:
-    density = _density_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    cloud = sample_poisson_cloud(args.n, density, rng,
-                                 exterior_radius=args.exterior_radius,
-                                 seed=args.seed)
-    if args.binary_out:
-        save_cloud(args.binary_out, cloud)
-        return 0
+    density = _from_flags(args, "density")
+    cloud = _cloud(args, density)
     with _output(args.out) as out:
         out.write(",".join(f"x{i}" for i in range(density.d)) + "\n")
         for row in cloud.points:
@@ -151,62 +156,42 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _shape_from_args(args) -> GraphShape:
-    values = {"k": str(args.k)}
-    if args.edges:
-        values["edges"] = args.edges
-    else:
-        values["name"] = args.shape_name
-    return build_shape(_config_section("shape", values))
-
-
 def _cmd_count(args) -> int:
-    density = _density_from_args(args)
-    if args.cloud:
-        try:
-            cloud = load_cloud(args.cloud)
-        except (OSError, CloudFormatError) as exc:
-            raise ConfigError(f"unreadable cloud: {exc}") from exc
-    else:
-        rng = np.random.default_rng(args.seed)
-        cloud = sample_poisson_cloud(args.n, density, rng,
-                                     exterior_radius=args.exterior_radius,
-                                     seed=args.seed)
-    shape = _shape_from_args(args)
+    density = _from_flags(args, "density")
+    cloud = _cloud(args, density)
+    shape = _from_flags(args, "shape")
     t_grid = np.array(_float_list("count", "--t-grid", args.t_grid))
-    annulus = None
+    req = CountRequest(shape=shape, t_grid=t_grid, **_given(R=args.R))
     if args.annulus:
         K, L = _float_pair("count", "--annulus", args.annulus)
-        annulus = density.annulus_bounds(args.R, K, L)
-    req = CountRequest(shape=shape, t_grid=t_grid, R=args.R, annulus=annulus)
+        req = replace(req, annulus=density.annulus_bounds(req.R, K, L))
     h, plus, minus = count_decomposed(cloud, req)
-    seed = "" if cloud.seed is None else cloud.seed
     with _output(args.out) as out:
         out.write("seed,t,count_h,count_plus,count_minus\n")
         for j, t in enumerate(t_grid):
-            out.write(f"{seed},{float(t)!r},{h.counts[j]},"
+            out.write(f"{args.seed},{float(t)!r},{h.counts[j]},"
                       f"{plus.counts[j]},{minus.counts[j]}\n")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    shape = _shape_from_args(args)
+    shape = _from_flags(args, "shape")
     t_grid = np.array(_float_list("oracle", "--t-grid", args.t_grid))
     annulus = None
     if args.K is not None or args.L is not None:
         annulus = (args.K, args.L)    # OracleParams fills a missing bound
     params = OracleParams(d=args.d, ell=args.ell, shape=shape,
                           alpha=args.alpha, c=args.c, t_grid=t_grid, annulus=annulus,
-                          n_samples=args.samples, seed=args.seed)
+                          **_given(n_samples=args.samples, seed=args.seed))
+    mode = _given(mode=args.mode)
     if args.kind == "L":
-        cov = covariance_L(params, mode=args.mode)
+        cov = covariance_L(params, **mode)
     elif args.kind == "M":
-        cov = covariance_M(params, mode=args.mode)
+        cov = covariance_M(params, **mode)
     elif args.kind == "mixture":
         cov = mixture_covariance(args.regime, params, xi=args.xi)
     else:  # brownian
-        report = brownian_identity_check(params, mode="plus" if args.mode == "h"
-                                         else args.mode)
+        report = brownian_identity_check(params, **mode)
         sys.stdout.write(json.dumps(
             {k: v for k, v in report.items() if np.isscalar(v)},
             indent=2, sort_keys=True, default=float) + "\n")
@@ -218,16 +203,9 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _schedule_from_args(args) -> RadiusSchedule:
-    # --beta always goes in, so log_band keeps the flag's default rather than the config's
-    values = {"kind": args.schedule, "beta": repr(args.beta), "c0": repr(args.c0),
-              "k": str(args.layer_k)}
-    return build_schedule(_config_section("schedule", values))
-
-
 def _cmd_regime(args) -> int:
-    density = _density_from_args(args)
-    schedule = _schedule_from_args(args)
+    density = _from_flags(args, "density")
+    schedule = _from_flags(args, "schedule")
     lo, hi = _float_pair("regime", "--n-range", args.n_range)
     regime = classify_regime(density, schedule, (lo, hi))
     growth = check_growth_condition(density, schedule, args.k, (lo, hi))
@@ -309,20 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exterior-radius", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--binary-out", help="binary cloud cache path")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("count", help="counting curves for a cloud")
     _add_density_flags(p)
     p.add_argument("--n", type=float, default=1000.0)
     p.add_argument("--exterior-radius", type=float, default=None)
-    p.add_argument("--cloud", help="binary cloud cache to load instead of sampling")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--shape-name", default="complete")
+    p.add_argument("--shape-name")
     p.add_argument("--edges", help="explicit edge list i-j;i-j")
     p.add_argument("--t-grid", required=True, help="comma list of radii")
-    p.add_argument("--R", type=float, default=0.0, help="exclusion radius")
+    p.add_argument("--R", type=float, help="exclusion radius")
     p.add_argument("--annulus", help="K,L bounds for the Max-norm gate, in the "
                    "family's units: [K R, L R) (power) or [R + K a(R), R + L a(R)) "
                    "(vonmises)")
@@ -336,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--c", type=float, help="light-tail a-limit (inf allowed)")
-    p.add_argument("--shape-name", default="complete")
+    p.add_argument("--shape-name")
     p.add_argument("--edges")
     p.add_argument("--t-grid", required=True)
-    p.add_argument("--mode", choices=("h", "plus", "minus"), default="h")
+    p.add_argument("--mode", choices=("h", "plus", "minus"))
     p.add_argument("--regime", choices=("sparse", "critical", "dense"), default="sparse")
     p.add_argument("--xi", type=float)
     p.add_argument("--K", type=float)
     p.add_argument("--L", type=float)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
@@ -353,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_density_flags(p)
     p.add_argument("--schedule", choices=("power", "weak_core", "core",
                                           "poisson_layer", "log_band"), required=True)
-    p.add_argument("--beta", type=float, default=0.3)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--layer-k", type=int, default=2)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--c0", type=float)
+    p.add_argument("--layer-k", type=int)
     p.add_argument("--k", type=int, default=2, help="subgraph order")
     p.add_argument("--n-range", required=True, help="lo,hi")
     p.set_defaults(func=_cmd_regime)

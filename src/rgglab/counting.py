@@ -14,7 +14,6 @@ its own permutation-based isomorphism test.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,6 @@ from .atlas import GraphShape, build_atlas, pair_bit_index
 
 class InvalidRequestError(ValueError):
     """Raised for malformed counting requests (e.g. non-ascending grid)."""
-
-
-class CloudFormatError(ValueError):
-    """Raised when a binary cloud file's size does not match its header."""
 
 
 class PointCloud:
@@ -150,11 +145,16 @@ def subset_indicators(cloud: PointCloud,
 
 
 def count_decomposed(cloud: PointCloud, req: CountRequest):
-    """One pass producing the h, h+, h- curves (h = plus - minus pointwise)."""
+    """One pass producing the h, h+, h- curves.
+
+    The plus curve counts the rows in h or h-, so h = plus - minus holds
+    only if no candidate is both the shape and denser.
+    """
     h_ind, minus_ind = subset_indicators(cloud, req)
-    h = h_ind.sum(axis=0, dtype=np.int64)
-    minus = minus_ind.sum(axis=0, dtype=np.int64)
-    return CountingCurve(h), CountingCurve(h + minus), CountingCurve(minus)
+    # one contiguous count per grid radius: over so few columns it is several
+    # times faster than sum(axis=0)
+    return tuple(CountingCurve([np.count_nonzero(col) for col in np.ascontiguousarray(rows.T)])
+                 for rows in (h_ind, h_ind | minus_ind, minus_ind))
 
 
 def count_subgraphs(cloud: PointCloud, req: CountRequest) -> CountingCurve:
@@ -283,35 +283,3 @@ def count_subgraphs_exhaustive(cloud: PointCloud, req: CountRequest) -> Counting
                 out[1, g] = more[inv].sum()
     counts = {MODE_H: out[0], MODE_PLUS: out[0] + out[1], MODE_MINUS: out[1]}[req.mode]
     return CountingCurve(counts=counts)
-
-
-# ---------------------------------------------------------------------------
-# binary cloud cache (fixed-width little-endian)
-# ---------------------------------------------------------------------------
-# layout: header <q q q> = (d, N, seed), then N*d float64 coordinates.
-
-_HEADER = struct.Struct("<qqq")
-
-
-def save_cloud(path, cloud: PointCloud) -> None:
-    seed = cloud.seed if isinstance(cloud.seed, (int, np.integer)) else -1
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(cloud.d, len(cloud), int(seed)))
-        fh.write(np.ascontiguousarray(cloud.points, dtype="<f8").tobytes())
-
-
-def load_cloud(path, n: float = 0.0, restricted_to: float | None = None) -> PointCloud:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise CloudFormatError(f"{path}: {len(blob)} bytes, shorter than the "
-                               f"{_HEADER.size}-byte header")
-    d, count, seed = _HEADER.unpack_from(blob)
-    expected = _HEADER.size + 8 * d * count
-    if d < 1 or count < 0 or len(blob) != expected:
-        raise CloudFormatError(f"{path}: {len(blob)} bytes, but its header "
-                               f"(d={d}, N={count}) needs {expected}")
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    pts = data.reshape(count, d).astype(np.float64)
-    return make_cloud(pts, n=n, seed=None if seed < 0 else int(seed),
-                      restricted_to=restricted_to)

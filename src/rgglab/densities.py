@@ -65,7 +65,7 @@ class _InverseCdf:
     """Monotone tabulated inverse of a CDF given on an r-grid.
 
     ``pchip_coefficients`` (scipy's ``PchipInterpolator``, ported) builds
-    the cubic coefficients; calls evaluate them here with the same
+    the cubic coefficients; ``eval_chunk`` evaluates them with the same
     arithmetic as scipy's ``PPoly(extrapolate=False)`` on
     ``min(u, max_cdf)``, bit for bit, one cache-sized chunk at a time.  A
     bucket table over [0, max_cdf] finds each u's interval without a full
@@ -110,12 +110,10 @@ class _InverseCdf:
         self._split[held == 1] = cdf[self._before[held == 1]]
 
     def eval_chunk(self, u: np.ndarray) -> np.ndarray:
-        """The inverse CDF at a 1-d chunk of u, about ``_CHUNK`` long, as a new array."""
+        """The inverse CDF at a 1-d chunk of u >= 0, about ``_CHUNK`` long, as
+        a new array.  Both tables start at CDF 0, so every u the sampler
+        draws from [0, 1) lies in the table or beyond its end."""
         v = np.minimum(u, self.max_cdf)
-        valid = v >= self._x[0]                                # False for NaN
-        all_valid = valid.all()
-        if not all_valid:
-            v[~valid] = self._x[0]
         bucket = (v * self._scale).astype(np.intp)             # floor, as v >= 0
         split = self._split.take(bucket)
         k = self._before.take(bucket)
@@ -135,17 +133,7 @@ class _InverseCdf:
         self._c0.take(k, out=term)
         term *= s2
         res += term
-        if not all_valid:
-            res[~valid] = np.nan
         return res
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        flat = u.ravel()
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, _CHUNK):
-            out[lo:lo + _CHUNK] = self.eval_chunk(flat[lo:lo + _CHUNK])
-        return out.reshape(u.shape)
 
 
 def _scale_directions(z: np.ndarray, r: np.ndarray) -> None:

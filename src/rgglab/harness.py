@@ -234,8 +234,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "n": n, "R": R, "tau": tau_n,
             "q": n * float(density.radial_profile(R)),
             "mean_cloud_size": float(sizes.mean()),
-            "mean_curve": curves.mean(axis=0),
-            "cov_scaled": scaled, "cov_scaled_se": scaled_se,
+            "cov_scaled": scaled,
             "ratio": ratio, "ratio_se": ratio_se,
             "band_fraction": band_fraction,
             "ref_ratio": float(ratio[t_idx, t_idx]),

@@ -33,6 +33,7 @@ from rgglab.densities import (
 )
 from rgglab.harness import (
     ExperimentConfig,
+    _covariance_with_se,
     palm_mean_check,
     run_clt_experiment,
     run_core_experiment,
@@ -217,21 +218,22 @@ def test_criterion_05_heavy_sparse_clt():
     far = (1e6, 1e8, 1e10, 1e12)
     exact_at = {n: exact_pair_cumulants(density, n, cfg.schedule.radius(density, n), t_ref)
                 for n in sorted({*cfg.n_ladder, *far})}
-    counts = {}
+    curves_at = {}
     for n, _, curve, _, _ in rep.tables["raw_rows"]:
-        counts.setdefault(n, []).append(curve[t_idx])
+        curves_at.setdefault(n, []).append(curve)
     boot_rng = np.random.default_rng(MASTER_SEED)
     for rung in rep.rungs:
         n = rung["n"]
         exact = exact_at[n]
+        curves = np.array(curves_at[n])
         mc_var = rung["cov_scaled"][t_idx, t_idx]
-        var_se = rung["cov_scaled_se"][t_idx, t_idx]
+        var_se = _covariance_with_se(curves.astype(float))[1][t_idx, t_idx] / rung["tau"]
         exact_var = exact.kappa2 / rung["tau"]
         z_var = abs(mc_var - exact_var) / var_se
         c.check(z_var <= 3.0,
                 f"n = {n:.0e}: Var/tau MC {mc_var:.4f} +- {var_se:.4f} vs exact "
                 f"{exact_var:.4f} (z = {z_var:.2f})")
-        values = np.asarray(counts[n], dtype=float)
+        values = curves[:, t_idx].astype(float)
         boot = stats.skew(values[boot_rng.integers(0, values.size, (2000, values.size))],
                           axis=1)
         skew_se = float(boot.std(ddof=1))
@@ -240,7 +242,7 @@ def test_criterion_05_heavy_sparse_clt():
         c.check(z_skew <= 3.0 and exact.skewness_se <= 0.1 * skew_se,
                 f"n = {n:.0e}: skew MC {mc_skew:.3f} +- {skew_se:.3f} vs exact "
                 f"{exact.skewness:.3f} +- {exact.skewness_se:.1e} (z = {z_skew:.2f})")
-        print(f"  n = {n:.0e}: mean count MC {rung['mean_curve'][t_idx]:.4f} "
+        print(f"  n = {n:.0e}: mean count MC {curves.mean(axis=0)[t_idx]:.4f} "
               f"vs exact {exact.kappa1:.4f}")
 
     # the ell = k block of K_2 reduces to B_2 |B(0, t)|
@@ -259,7 +261,7 @@ def test_criterion_05_heavy_sparse_clt():
             + ", ".join(f"{x:.3f}" for x in skews))
 
     top_n = rep.rungs[-1]["n"]
-    values = np.asarray(counts[top_n], dtype=float)
+    values = np.array(curves_at[top_n])[:, t_idx].astype(float)
     z = (values - values.mean()) / values.std(ddof=1)
     print(f"  diagnostics at n = {top_n:.0e} (reference is the limit law): "
           f"ex-kurt = {stats.kurtosis(values):.3f}, KS p = {stats.kstest(z, 'norm').pvalue:.3g}")

@@ -15,17 +15,11 @@ import pytest
 from scipy import stats
 
 import rgglab
+from rgglab import cli, kernels
 from rgglab.atlas import build_atlas, named_shape
-from rgglab.cli import _schedule_from_args, build_parser, parse_and_dispatch
+from rgglab.cli import _from_flags, build_parser, parse_and_dispatch
 from rgglab.config import _SCHEMA, ConfigError, parse_config
-from rgglab.counting import (
-    CloudFormatError,
-    CountRequest,
-    count_decomposed,
-    load_cloud,
-    make_cloud,
-    save_cloud,
-)
+from rgglab.counting import CountRequest, count_decomposed, make_cloud
 from rgglab.densities import (
     CoreSchedule,
     LogBandSchedule,
@@ -35,6 +29,7 @@ from rgglab.densities import (
     WeakCoreSchedule,
     sample_poisson_cloud,
 )
+from rgglab.limits import OracleParams
 
 SMALL_CLT = """
 [density]
@@ -150,25 +145,6 @@ def test_module_entry_point():
     assert good.stdout == build_atlas(3).export_text()   # the path and the triangle
 
 
-def test_count_unreadable_cloud_exit_2(capsys, tmp_path):
-    whole = tmp_path / "whole.bin"
-    save_cloud(whole, make_cloud(np.arange(12.0).reshape(6, 2), seed=1))
-    blob = whole.read_bytes()
-    (tmp_path / "ten.bin").write_bytes(blob[:10])
-    (tmp_path / "short.bin").write_bytes(blob[:-8])
-    (tmp_path / "long.bin").write_bytes(blob + blob[-8:])
-    for name in ("ten.bin", "short.bin", "long.bin"):
-        with pytest.raises(CloudFormatError):
-            load_cloud(tmp_path / name)
-    for name in ("missing.bin", "ten.bin", "short.bin"):
-        code, out, err = run_cli(capsys, "count", "--family", "power", "--d", "2",
-                                 "--alpha", "4", "--cloud", str(tmp_path / name),
-                                 "--k", "2", "--t-grid", "1.0")
-        assert code == 2, name
-        assert "unreadable cloud" in err and out == ""
-    assert len(load_cloud(whole)) == 6
-
-
 def test_radii_subcommand(capsys, power24):
     code, out, _ = run_cli(capsys, "radii", "--family", "power", "--d", "2",
                            "--alpha", "4", "--n", "1e5")
@@ -179,22 +155,35 @@ def test_radii_subcommand(capsys, power24):
     assert r_weak == pytest.approx((power24.C * 1e5) ** 0.25, rel=1e-3)
 
 
-def test_sample_and_count_roundtrip(capsys, tmp_path):
-    cloud_path = tmp_path / "cloud.bin"
-    code, _, _ = run_cli(capsys, "sample", "--family", "power", "--d", "2",
-                         "--alpha", "4", "--n", "500", "--seed", "9",
-                         "--binary-out", str(cloud_path))
-    assert code == 0
-    cloud = load_cloud(cloud_path)
-    assert cloud.d == 2 and len(cloud) > 300
-    code, out, _ = run_cli(capsys, "count", "--family", "power", "--d", "2",
-                           "--alpha", "4", "--cloud", str(cloud_path),
-                           "--k", "2", "--t-grid", "0.5,1.0", "--R", "2.0")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "seed,t,count_h,count_plus,count_minus"
-    assert len(lines) == 3
-    assert all(line.startswith("9,") for line in lines[1:])   # the header's seed
+def test_sample_and_count_roundtrip(capsys):
+    """``count`` run with ``sample``'s flags prints the counts that
+    ``count_decomposed`` gives on the points ``sample`` prints, for a full
+    and an exterior cloud, K2 and the 3-path: the seed fixes the cloud."""
+    density = ("--family", "power", "--d", "2", "--alpha", "4")
+    t_grid = np.array([0.5, 1.0, 1.5])
+    for cloud_flags, R in ((("--n", "500", "--seed", "9"), 0.0),
+                           (("--n", "2e4", "--seed", "4", "--exterior-radius", "6"), 6.0)):
+        code, out, _ = run_cli(capsys, "sample", *density, *cloud_flags)
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "x0,x1"
+        points = np.array([row.split(",") for row in rows], dtype=float)
+        assert len(points) > 300 and (np.linalg.norm(points, axis=1) >= R).all()
+        for k, shape in (("2", "complete"), ("3", "path")):
+            req = CountRequest(shape=named_shape(int(k), shape), t_grid=t_grid, R=R)
+            expected = np.stack([curve.counts
+                                 for curve in count_decomposed(make_cloud(points), req)], axis=1)
+            assert expected[-1, 0] > 0
+            r_flags = ("--R", str(R)) if R else ()
+            code, out, _ = run_cli(capsys, "count", *density, *cloud_flags, *r_flags,
+                                   "--k", k, "--shape-name", shape, "--t-grid", "0.5,1.0,1.5")
+            assert code == 0
+            header, *lines = out.splitlines()
+            assert header == "seed,t,count_h,count_plus,count_minus"
+            seed = cloud_flags[3]
+            assert [line.split(",")[:2] for line in lines] == [[seed, repr(float(t))] for t in t_grid]
+            got = np.array([line.split(",")[2:] for line in lines], dtype=np.int64)
+            assert np.array_equal(got, expected), (cloud_flags, shape)
 
 
 def test_oracle_subcommand(capsys):
@@ -214,6 +203,32 @@ def test_oracle_subcommand(capsys):
     assert report["mode"] == "plus" and report["exponent"] == 2
     assert report["passed"] is True and code == 0
     assert report["K_hat"] == pytest.approx(math.pi ** 2 / 6, rel=0.05)
+    # h is not a Brownian mode: refused, not read as plus
+    code, out, err = run_cli(capsys, "oracle", "--kind", "brownian", "--d", "2", "--k", "2",
+                             "--ell", "2", "--alpha", "4", "--t-grid", "0.5,1.0",
+                             "--samples", "50000", "--seed", "1", "--mode", "h")
+    assert code == 2 and out == ""
+    assert err == "configuration error: mode must be 'plus' or 'minus'\n"
+
+
+def test_oracle_flags_keep_library_defaults(capsys, monkeypatch):
+    """Without ``--samples``, ``--seed`` or ``--mode`` the oracle runs on
+    ``OracleParams``' and ``covariance_L``'s own defaults."""
+    seen = []
+    real = cli.covariance_L
+
+    def recording(params, **kwargs):
+        seen.append((params, kwargs))
+        return real(OracleParams(**{**vars(params), "n_samples": 20_000}), **kwargs)
+
+    monkeypatch.setattr(cli, "covariance_L", recording)
+    code, _, _ = run_cli(capsys, "oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2",
+                         "--alpha", "4", "--t-grid", "1.0")
+    assert code == 0
+    (params, kwargs), = seen
+    defaults = OracleParams(d=2, ell=2, shape=named_shape(2, "complete"), t_grid=[1.0],
+                            alpha=4.0)
+    assert (params.n_samples, params.seed, kwargs) == (defaults.n_samples, defaults.seed, {})
 
 
 def test_regime_subcommand(capsys):
@@ -329,6 +344,62 @@ def test_unknown_key_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
     assert code == 2
     assert "typo_key" in err
+
+
+def test_malformed_ini_exit_2(capsys, tmp_path):
+    """INI text that configparser cannot read is a ``ConfigError``, from a
+    file through ``rgglab experiment --config`` (exit 2) and as text."""
+    for name, text in (("no_header", "family = power\n" + SMALL_CLT),
+                       ("duplicate", SMALL_CLT.replace("d = 2\n", "d = 2\nd = 3\n")),
+                       ("open_bracket", SMALL_CLT.replace("[shape]", "[shape"))):
+        with pytest.raises(ConfigError, match="^malformed config: "):
+            parse_config(text=text)
+        cfg_path = tmp_path / f"{name}.ini"
+        cfg_path.write_text(text)
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / name))
+        assert code == 2 and out == "", name
+        assert err.startswith("configuration error: malformed config: "), name
+        assert not (tmp_path / name).exists()
+
+
+def test_override_creates_a_missing_section():
+    """``--set shape.k=2`` on a config with no ``[shape]`` section adds the
+    section, and the echoed config re-parses to the same run."""
+    start = SMALL_CLT.index("[shape]")
+    text = SMALL_CLT[:start] + SMALL_CLT[SMALL_CLT.index("[experiment]"):]
+    with pytest.raises(ConfigError, match=r"missing required section \[shape\]"):
+        parse_config(text=text)
+    parsed = parse_config(text=text, overrides=["shape.k=2"])
+    assert dict(parsed.raw["shape"]) == {"k": "2"}
+    assert parsed.experiment.shape.canonical_form == named_shape(2, "complete").canonical_form
+    echoed = parse_config(text=parsed.echo())
+    assert echoed.echo() == parsed.echo()
+    assert echoed.experiment.shape.canonical_form == parsed.experiment.shape.canonical_form
+
+
+def test_broken_classifier_fails_the_decomposition_check(capsys, tmp_path, monkeypatch):
+    """A classifier that also marks some shape rows as denser breaks
+    G = G+ - G-: the CLT run reports ``decomposition_exact_all`` False and
+    ``rgglab experiment`` exits 1."""
+    accumulate = kernels.accumulate_curves
+
+    def broken(*args):
+        h, minus = accumulate(*args)
+        minus[::7] |= h[::7]
+        return h, minus
+
+    monkeypatch.setattr(kernels, "accumulate_curves", broken)
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(SMALL_CLT)
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                           "--out", str(out_dir))
+    assert code == 1
+    assert "FAIL clt.decomposition_exact_all\n" in out
+    assert "flag.decomposition_exact_all: False\n" in (out_dir / "report.txt").read_text()
+    assert json.loads((out_dir / "manifest.json").read_text())["flags"][
+        "decomposition_exact_all"] is False
 
 
 def test_config_parser_validation(tmp_path):
@@ -617,8 +688,11 @@ def test_schedule_flags_follow_config_builder():
             [*regime, kind, "--beta", "0.25", "--c0", "2", "--layer-k", "3"])
         text = SMALL_CLT.replace("kind = power\nbeta = 0.3",
                                  f"kind = {kind}\nbeta = 0.25\nc0 = 2\nk = 3")
-        got = _schedule_from_args(args)
+        got = _from_flags(args, "schedule")
         assert got == parse_config(text=text).experiment.schedule == schedule, kind
-    # without --beta, log_band keeps the flag's default 0.3, not the config's 0.45
+        # with no parameter flag, each kind keeps the config's defaults
+        args = build_parser().parse_args([*regime, kind])
+        text = SMALL_CLT.replace("kind = power\nbeta = 0.3", f"kind = {kind}")
+        assert _from_flags(args, "schedule") == parse_config(text=text).experiment.schedule
     args = build_parser().parse_args([*regime, "log_band"])
-    assert _schedule_from_args(args) == LogBandSchedule(beta=0.3)
+    assert _from_flags(args, "schedule") == LogBandSchedule()

@@ -1,5 +1,5 @@
 """Counting engine: exactness against the exhaustive oracle, identities,
-filters, invariances, and the binary cloud cache."""
+filters, and invariances."""
 
 import itertools
 import os
@@ -20,9 +20,7 @@ from rgglab.counting import (
     count_decomposed,
     count_subgraphs,
     count_subgraphs_exhaustive,
-    load_cloud,
     make_cloud,
-    save_cloud,
 )
 from rgglab.densities import (
     PowerLawDensity,
@@ -354,20 +352,20 @@ def test_exact_radius_pairs_match_oracle(k2, path3):
 def test_determinism_across_workers_env(tmp_path, rng):
     """A fresh interpreter prints the same h/plus/minus counts as the
     in-process engine on the same cloud."""
-    cloud_path = tmp_path / "cloud.bin"
+    points_path = tmp_path / "points.npy"
     pts = rng.normal(size=(60, 2)) * 2
-    save_cloud(cloud_path, make_cloud(pts, seed=7))
+    np.save(points_path, pts)
     t_grid = np.linspace(0.2, 2, 6)
     script = (
-        "from rgglab.counting import load_cloud, CountRequest, count_decomposed\n"
+        "from rgglab.counting import make_cloud, CountRequest, count_decomposed\n"
         "from rgglab.atlas import named_shape\n"
         "import numpy as np\n"
-        f"cloud = load_cloud(r'{cloud_path}')\n"
+        f"cloud = make_cloud(np.load(r'{points_path}'))\n"
         "req = CountRequest(shape=named_shape(3, 'path'), t_grid=np.linspace(0.2, 2, 6))\n"
         "h, p, m = count_decomposed(cloud, req)\n"
         "print(list(h.counts), list(p.counts), list(m.counts))\n"
     )
-    h, p, m = count_decomposed(load_cloud(cloud_path),
+    h, p, m = count_decomposed(make_cloud(np.load(points_path)),
                                CountRequest(shape=named_shape(3, "path"), t_grid=t_grid))
     expected = f"{list(h.counts)} {list(p.counts)} {list(m.counts)}\n"
     # the child imports the same rgglab as this process, however it was found
@@ -379,22 +377,6 @@ def test_determinism_across_workers_env(tmp_path, rng):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
-
-
-def test_binary_cache_roundtrip(tmp_path, rng):
-    pts = rng.normal(size=(17, 3))
-    cloud = make_cloud(pts, n=17.0, seed=42)
-    path = tmp_path / "cloud.bin"
-    save_cloud(path, cloud)
-    loaded = load_cloud(path, n=17.0)
-    assert loaded.seed == 42
-    assert loaded.d == 3
-    np.testing.assert_array_equal(loaded.points, cloud.points)
-    # documented layout: 3 little-endian int64 then float64 coordinates
-    raw = path.read_bytes()
-    header = np.frombuffer(raw[:24], dtype="<i8")
-    assert list(header) == [3, 17, 42]
-    assert len(raw) == 24 + 17 * 3 * 8
 
 
 def test_annulus_shells_partition_exterior(rng, k2, triangle):

@@ -1,6 +1,8 @@
 """Experiment harness: seed derivation, determinism, reports, and the
 statistical helpers."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -276,3 +278,26 @@ def test_write_report_csvs(power24, k2, tmp_path):
     assert len(raw) - 1 == 2 * 20 * 2
     assert (tmp_path / "manifest.json").exists()
     assert (tmp_path / "oracle_covariance.csv").read_text().startswith("# provenance")
+
+
+def test_write_report_layer_counts(power24, k2, tmp_path):
+    """A Poisson-layer report writes ``layer_counts.csv``, one row per rung
+    and replication holding that replication's count, and lists it in the
+    manifest with its sha256."""
+    cfg = small_cfg(power24, k2, schedule=PoissonLayerSchedule(k=2), replications=30,
+                    n_ladder=(1e4, 3e4), t_grid=np.array([1.0]))
+    rep = run_poisson_layer_experiment(cfg)
+    files = write_report(rep, tmp_path)
+    path = tmp_path / "layer_counts.csv"
+    assert files["layer_counts"] == path
+    header, *rows = path.read_text().splitlines()
+    assert header == "n,seed,count"
+    got = [(float(n), int(seed), int(count))
+           for n, seed, count in (row.split(",") for row in rows)]
+    assert got == [(rung["n"], i, int(c)) for rung in rep.rungs
+                   for i, c in enumerate(rung["counts"])]
+    assert len(got) == 2 * 30 and any(count > 0 for _, _, count in got)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["kind"] == "poisson_layer"
+    assert manifest["artifacts"]["layer_counts"] == {
+        "path": "layer_counts.csv", "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
