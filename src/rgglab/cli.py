@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import json
 import math
 import sys
@@ -51,7 +50,6 @@ from .harness import (
     run_core_experiment,
     run_poisson_layer_experiment,
     write_covariance_csv,
-    write_covariance_rows,
     write_report,
 )
 from .limits import OracleParams, brownian_identity_check, covariance_L, covariance_M, mixture_covariance
@@ -67,16 +65,6 @@ from .regimes import (
 _CONFIG_ERRORS = (ConfigError, InvalidParameterError, ScheduleUndefinedError,
                   UnsupportedOperationError, UnclassifiableError, BoundaryRegimeError,
                   ExperimentError, ValueError)
-
-
-@contextlib.contextmanager
-def _output(path: str | None):
-    """The ``--out`` file for writing, or stdout when the flag is absent."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w") as fh:
-        yield fh
 
 
 # per config section, its builder and the flag (argparse dest) of each key
@@ -114,9 +102,7 @@ def _add_density_flags(sub):
 
 
 def _cmd_atlas(args) -> int:
-    text = build_atlas(args.k).export_text()
-    with _output(args.out) as out:
-        out.write(text)
+    sys.stdout.write(build_atlas(args.k).export_text())
     return 0
 
 
@@ -135,24 +121,23 @@ def _cmd_radii(args) -> int:
         for k in layers:
             row.append(repr(poisson_layer_radius(density, n, k)))
         lines.append(",".join(row))
-    with _output(args.out) as out:
-        out.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cloud(args, density):
-    """The cloud that ``sample`` prints and ``count`` counts: the seed fixes it."""
+    """The cloud that ``sample`` prints and ``count`` counts, outside ``--R``
+    when given: the seed fixes it."""
     return sample_poisson_cloud(args.n, density, np.random.default_rng(args.seed),
-                                exterior_radius=args.exterior_radius, seed=args.seed)
+                                exterior_radius=args.R, seed=args.seed)
 
 
 def _cmd_sample(args) -> int:
     density = _from_flags(args, "density")
     cloud = _cloud(args, density)
-    with _output(args.out) as out:
-        out.write(",".join(f"x{i}" for i in range(density.d)) + "\n")
-        for row in cloud.points:
-            out.write(",".join(repr(float(v)) for v in row) + "\n")
+    sys.stdout.write(",".join(f"x{i}" for i in range(density.d)) + "\n")
+    for row in cloud.points:
+        sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
     return 0
 
 
@@ -166,20 +151,17 @@ def _cmd_count(args) -> int:
         K, L = _float_pair("count", "--annulus", args.annulus)
         req = replace(req, annulus=density.annulus_bounds(req.R, K, L))
     h, plus, minus = count_decomposed(cloud, req)
-    with _output(args.out) as out:
-        out.write("seed,t,count_h,count_plus,count_minus\n")
-        for j, t in enumerate(t_grid):
-            out.write(f"{args.seed},{float(t)!r},{h.counts[j]},"
-                      f"{plus.counts[j]},{minus.counts[j]}\n")
+    sys.stdout.write("seed,t,count_h,count_plus,count_minus\n")
+    for j, t in enumerate(t_grid):
+        sys.stdout.write(f"{args.seed},{float(t)!r},{h.counts[j]},"
+                         f"{plus.counts[j]},{minus.counts[j]}\n")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     shape = _from_flags(args, "shape")
     t_grid = np.array(_float_list("oracle", "--t-grid", args.t_grid))
-    annulus = None
-    if args.K is not None or args.L is not None:
-        annulus = (args.K, args.L)    # OracleParams fills a missing bound
+    annulus = _float_pair("oracle", "--annulus", args.annulus) if args.annulus else None
     params = OracleParams(d=args.d, ell=args.ell, shape=shape,
                           alpha=args.alpha, c=args.c, t_grid=t_grid, annulus=annulus,
                           **_given(n_samples=args.samples, seed=args.seed))
@@ -196,10 +178,7 @@ def _cmd_oracle(args) -> int:
             {k: v for k, v in report.items() if np.isscalar(v)},
             indent=2, sort_keys=True, default=float) + "\n")
         return 0 if report["passed"] else 1
-    if args.out:
-        write_covariance_csv(cov, Path(args.out))   # rows under a provenance line
-    else:
-        write_covariance_rows(cov, sys.stdout)
+    write_covariance_csv(cov, sys.stdout)
     return 0
 
 
@@ -270,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", help="enumerate connected graph classes")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("radii", help="derived radius table (CSV)")
@@ -278,31 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, action="append", required=True,
                    help="intensity (repeatable)")
     p.add_argument("--k-layers", default="2,3", help="comma list of layer orders")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_radii)
 
     p = sub.add_parser("sample", help="sample a Poisson cloud")
     _add_density_flags(p)
     p.add_argument("--n", type=float, required=True)
-    p.add_argument("--exterior-radius", type=float, default=None)
+    p.add_argument("--R", type=float, help="exclusion radius: the cloud outside B(0, R)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("count", help="counting curves for a cloud")
     _add_density_flags(p)
     p.add_argument("--n", type=float, default=1000.0)
-    p.add_argument("--exterior-radius", type=float, default=None)
+    p.add_argument("--R", type=float, help="exclusion radius: sample and count outside B(0, R)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--shape-name")
     p.add_argument("--edges", help="explicit edge list i-j;i-j")
     p.add_argument("--t-grid", required=True, help="comma list of radii")
-    p.add_argument("--R", type=float, help="exclusion radius")
     p.add_argument("--annulus", help="K,L bounds for the Max-norm gate, in the "
                    "family's units: [K R, L R) (power) or [R + K a(R), R + L a(R)) "
                    "(vonmises)")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("oracle", help="limit covariance oracle (CSV)")
@@ -318,11 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("h", "plus", "minus"))
     p.add_argument("--regime", choices=("sparse", "critical", "dense"), default="sparse")
     p.add_argument("--xi", type=float)
-    p.add_argument("--K", type=float)
-    p.add_argument("--L", type=float)
+    p.add_argument("--annulus", help="K,L bounds in the family's units, as for count")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("regime", help="classification and growth report")

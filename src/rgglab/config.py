@@ -166,21 +166,21 @@ def build_shape(parser: configparser.ConfigParser) -> GraphShape:
     k = _int("shape", "k", sec["k"])
     if "edges" in sec and "name" in sec:
         raise ConfigError("[shape] give either name or edges, not both")
-    if "edges" in sec:
-        edges = []
-        for item in sec["edges"].split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                i, j = item.split("-")
-                edges.append((int(i), int(j)))
-            except ValueError as exc:
-                raise ConfigError(f"[shape] bad edge {item!r}; use i-j;i-j") from exc
-        return shape_from_edges(k, edges)
-    name = sec.get("name", "complete")
+    edges = []
+    for item in sec.get("edges", "").split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            i, j = item.split("-")
+            edges.append((int(i), int(j)))
+        except ValueError as exc:
+            raise ConfigError(f"[shape] bad edge {item!r}; use i-j;i-j") from exc
+    # the atlas's own checks (edge in range, connected, known name) as [shape] errors
     try:
-        return named_shape(k, name)
+        if "edges" in sec:
+            return shape_from_edges(k, edges)
+        return named_shape(k, sec.get("name", "complete"))
     except ValueError as exc:
         raise ConfigError(f"[shape] {exc}") from exc
 
@@ -188,22 +188,19 @@ def build_shape(parser: configparser.ConfigParser) -> GraphShape:
 def parse_config(path: Path | str | None = None, text: str | None = None,
                  overrides: list[str] | None = None) -> ParsedConfig:
     """Parse an experiment configuration file plus ``section.key=value`` overrides."""
-    parser = configparser.ConfigParser(interpolation=None)
+    source = "<string>"
     if text is None:
         if path is None:
             raise ConfigError("no configuration given")
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            parser.read_string(path.read_text(), source=str(path))
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-    else:
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        text, source = path.read_text(), str(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=source)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
 
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:

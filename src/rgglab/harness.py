@@ -190,13 +190,13 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         c=getattr(density, "c_limit", None), annulus=cfg.annulus,
         n_samples=cfg.oracle_samples, seed=cfg.master_seed + 10_000,
     )
-    oracle = mixture_covariance(regime, oracle_params)
+    oracle = mixture_covariance(regime.tag, oracle_params, regime.xi)
 
     rungs = []
     raw_rows = []
     for rung_idx, n in enumerate(cfg.n_ladder):
         R = schedule.radius(density, n)
-        tau_n = math.exp(log_tau(density, regime, n, R, k))
+        tau_n = math.exp(log_tau(density, regime.tag, n, R, k))
         annulus = None if cfg.annulus is None else density.annulus_bounds(R, *cfg.annulus)
         req = CountRequest(shape=shape, t_grid=cfg.t_grid, R=R, annulus=annulus)
 
@@ -561,7 +561,8 @@ def write_report(report: ExperimentReport, out_dir: Path) -> dict:
                             f"{_fmt(float(rung['ratio_se'][i, j]))}\n")
         files["covariance_ratio"] = ratio
         oracle_path = out_dir / "oracle_covariance.csv"
-        write_covariance_csv(report.oracle, oracle_path)
+        with open(oracle_path, "w") as fh:
+            write_covariance_csv(report.oracle, fh)
         files["oracle_covariance"] = oracle_path
     elif report.kind == "poisson_layer":
         raw = out_dir / "layer_counts.csv"
@@ -613,15 +614,10 @@ def write_report(report: ExperimentReport, out_dir: Path) -> dict:
     return files
 
 
-def write_covariance_csv(cov: LimitCovariance, path: Path) -> None:
-    """Matrix and SEs as CSV rows with a provenance header."""
-    with open(path, "w") as fh:
-        fh.write(f"# provenance: {json.dumps(cov.provenance, sort_keys=True, default=str)}\n")
-        write_covariance_rows(cov, fh)
-
-
-def write_covariance_rows(cov: LimitCovariance, fh) -> None:
-    """The ``t,s,value,std_err`` header and one row per grid pair."""
+def write_covariance_csv(cov: LimitCovariance, fh) -> None:
+    """A provenance line, the ``t,s,value,std_err`` header and one row per
+    grid pair, written to the open text file ``fh``."""
+    fh.write(f"# provenance: {json.dumps(cov.provenance, sort_keys=True, default=str)}\n")
     fh.write("t,s,value,std_err\n")
     for i, t in enumerate(cov.t_grid):
         for j, s in enumerate(cov.t_grid):

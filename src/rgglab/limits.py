@@ -39,7 +39,7 @@ from .densities import (
     sphere_surface_area,
     unit_ball_volume,
 )
-from .regimes import CRITICAL, DENSE, SPARSE, RegimeClass
+from .regimes import CRITICAL, DENSE, SPARSE
 
 _CHUNK = 1 << 15
 _MIN_SAMPLES = 1000
@@ -74,8 +74,7 @@ class OracleParams:
     family and an unset one for the heavy family; ``annulus`` is in that
     family's units (multiples of R, or a(R)-scaled shells beyond R).  The
     annulus starts at R or beyond: K >= 0 in the light family's shells and
-    K >= 1 in the heavy family's multiples.  A ``None`` bound is the family's
-    start below and infinity above."""
+    K >= 1 in the heavy family's multiples."""
 
     d: int
     ell: int
@@ -83,7 +82,7 @@ class OracleParams:
     t_grid: np.ndarray
     alpha: float | None = None      # heavy-tail exponent
     c: float | None = None          # light-tail a-limit, np.inf for subexponential
-    annulus: tuple[float | None, float | None] | None = None
+    annulus: tuple[float, float] | None = None
     n_samples: int = 200_000
     seed: int = 0
 
@@ -104,11 +103,8 @@ class OracleParams:
         if self.annulus is not None:
             start = 0.0 if self.c is not None else 1.0
             K, L = self.annulus
-            K = start if K is None else K
-            L = math.inf if L is None else L
             if not start <= K < L:
                 raise InvalidParameterError(f"annulus needs {start:g} <= K < L, got ({K}, {L})")
-            object.__setattr__(self, "annulus", (K, L))
 
 
 @dataclass
@@ -352,7 +348,7 @@ def _heavy_weight(d: int, k: int, ell: int, alpha: float, annulus) -> float:
     return K ** expo - upper
 
 
-def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
+def mixture_covariance(tag: str, params: OracleParams,
                        xi: float | None = None) -> LimitCovariance:
     """Regime-appropriate combination of block covariances.
 
@@ -360,9 +356,6 @@ def mixture_covariance(regime: RegimeClass | str, params: OracleParams,
     closed-form weights (K^(d-alpha(2k-ell)) - L^(d-alpha(2k-ell))); light
     family: the block integrals are restricted to the annulus domain directly.
     """
-    tag = regime.tag if isinstance(regime, RegimeClass) else regime
-    if isinstance(regime, RegimeClass) and xi is None:
-        xi = regime.xi
     k = params.k
     if tag == SPARSE:
         ells = [k]

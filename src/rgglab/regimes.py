@@ -107,10 +107,8 @@ def check_growth_condition(density: RadialDensity, schedule: RadiusSchedule,
                         final_decade_gain=gain)
 
 
-def log_tau(density: RadialDensity, regime: RegimeClass | str, n: float,
-            R: float, k: int) -> float:
-    """log tau_n for the tagged regime; the family sets its volume factor."""
-    tag = regime.tag if isinstance(regime, RegimeClass) else regime
+def log_tau(density: RadialDensity, tag: str, n: float, R: float, k: int) -> float:
+    """log tau_n for the regime ``tag``; the family sets its volume factor."""
     _check_light_usable(density)
     n = float(n)
     log_f = float(density.log_radial_profile(R))

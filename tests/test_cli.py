@@ -1,5 +1,6 @@
 """CLI subcommands, config parsing, exit codes, and output determinism."""
 
+import io
 import json
 import math
 import os
@@ -29,7 +30,8 @@ from rgglab.densities import (
     WeakCoreSchedule,
     sample_poisson_cloud,
 )
-from rgglab.limits import OracleParams
+from rgglab.harness import write_covariance_csv
+from rgglab.limits import OracleParams, mixture_covariance
 
 SMALL_CLT = """
 [density]
@@ -158,11 +160,13 @@ def test_radii_subcommand(capsys, power24):
 def test_sample_and_count_roundtrip(capsys):
     """``count`` run with ``sample``'s flags prints the counts that
     ``count_decomposed`` gives on the points ``sample`` prints, for a full
-    and an exterior cloud, K2 and the 3-path: the seed fixes the cloud."""
+    and an exterior cloud, K2 and the 3-path: the seed fixes the cloud, and
+    ``--R`` is both the sampling and the counting exclusion radius.  The
+    full cloud is almost all core, so its grid stops at a small radius."""
     density = ("--family", "power", "--d", "2", "--alpha", "4")
-    t_grid = np.array([0.5, 1.0, 1.5])
-    for cloud_flags, R in ((("--n", "500", "--seed", "9"), 0.0),
-                           (("--n", "2e4", "--seed", "4", "--exterior-radius", "6"), 6.0)):
+    for cloud_flags, R, grid in ((("--n", "500", "--seed", "9"), 0.0, "0.1,0.2,0.3"),
+                                 (("--n", "2e4", "--seed", "4", "--R", "6"), 6.0, "0.5,1.0,1.5")):
+        t_grid = np.array(grid.split(","), dtype=float)
         code, out, _ = run_cli(capsys, "sample", *density, *cloud_flags)
         assert code == 0
         header, *rows = out.splitlines()
@@ -174,9 +178,8 @@ def test_sample_and_count_roundtrip(capsys):
             expected = np.stack([curve.counts
                                  for curve in count_decomposed(make_cloud(points), req)], axis=1)
             assert expected[-1, 0] > 0
-            r_flags = ("--R", str(R)) if R else ()
-            code, out, _ = run_cli(capsys, "count", *density, *cloud_flags, *r_flags,
-                                   "--k", k, "--shape-name", shape, "--t-grid", "0.5,1.0,1.5")
+            code, out, _ = run_cli(capsys, "count", *density, *cloud_flags,
+                                   "--k", k, "--shape-name", shape, "--t-grid", grid)
             assert code == 0
             header, *lines = out.splitlines()
             assert header == "seed,t,count_h,count_plus,count_minus"
@@ -191,7 +194,8 @@ def test_oracle_subcommand(capsys):
                            "--ell", "2", "--alpha", "4", "--t-grid", "1.0",
                            "--samples", "50000", "--seed", "1")
     assert code == 0
-    _, row = out.strip().splitlines()
+    provenance, header, row = out.strip().splitlines()
+    assert provenance.startswith("# provenance: ") and header == "t,s,value,std_err"
     value = float(row.split(",")[2])
     assert value == pytest.approx(math.pi ** 2 / 6, rel=0.05)
     # the Brownian check prints its scalar fields as JSON, and its verdict is the exit code
@@ -426,6 +430,25 @@ def test_config_parser_validation(tmp_path):
             parse_config(text=SMALL_CLT, overrides=[f"experiment.{key}={value}"])
     parsed = parse_config(text=SMALL_CLT, overrides=["experiment.annulus=1.0, inf"])
     assert parsed.experiment.annulus == (1.0, math.inf)
+    # the atlas's refusals of an edge list are [shape] errors, as a bad name is
+    for shape, message in (("k = 3\nedges = 0-0", "bad edge (0,0) for k=3"),
+                           ("k = 3\nedges = 0-1", "edge list describes a disconnected graph"),
+                           ("k = 3\nname = edge", "shape 'edge' needs k = 2"),
+                           ("k = 2.5\nname = complete", "k: expected an integer, got '2.5'"),
+                           ("k = 2\nname = path\nedges = 0-1",
+                            "give either name or edges, not both")):
+        with pytest.raises(ConfigError, match=r"^\[shape\] ") as info:
+            parse_config(text=SMALL_CLT.replace("k = 2\nname = complete", shape))
+        assert str(info.value) == f"[shape] {message}", shape
+    for override, message in (
+        ("experiment.t_grid= , ", "[experiment] t_grid: expected a comma list of numbers"),
+        ("density.family=gauss", "[density] unknown family 'gauss'"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text=SMALL_CLT, overrides=[override])
+        assert str(info.value) == message, override
+    with pytest.raises(ConfigError, match="^no configuration given$"):
+        parse_config()
 
 
 def test_readme_ini_example_parses():
@@ -537,13 +560,13 @@ def test_commands_never_import_scipy(tmp_path):
     ``import scipy`` fails."""
     density = ["--family", "power", "--d", "2", "--alpha", "4"]
     commands = [
-        ["atlas", "--k", "3", "--out", "atlas.txt"],
-        ["radii", *density, "--n", "1e5", "--out", "radii.csv"],
-        ["sample", *density, "--n", "200", "--seed", "2", "--out", "cloud.csv"],
-        ["count", *density, "--n", "1e4", "--exterior-radius", "5", "--seed", "2",
-         "--k", "2", "--t-grid", "0.5,1.0", "--R", "5", "--out", "count.csv"],
+        ["atlas", "--k", "3"],
+        ["radii", *density, "--n", "1e5"],
+        ["sample", *density, "--n", "200", "--seed", "2"],
+        ["count", *density, "--n", "1e4", "--R", "5", "--seed", "2",
+         "--k", "2", "--t-grid", "0.5,1.0"],
         ["oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2", "--alpha", "4",
-         "--t-grid", "1.0", "--samples", "20000", "--seed", "1", "--out", "oracle.csv"],
+         "--t-grid", "1.0", "--samples", "20000", "--seed", "1"],
         ["regime", *density, "--schedule", "power", "--n-range", "1e2,1e4"],
     ]
     codes, loaded = _run_with_scipy_blocked(tmp_path, commands)
@@ -580,21 +603,45 @@ def test_oracle_annulus_flags_restrict_or_are_refused(capsys):
              "--t-grid", "1", "--samples", "20000", "--seed", "1")
     code, full, _ = run_cli(capsys, *light)
     assert code == 0
-    code, restricted, _ = run_cli(capsys, *light, "--K", "0.5", "--L", "1")
+    code, restricted, _ = run_cli(capsys, *light, "--annulus", "0.5,1")
     assert code == 0
-    assert float(restricted.splitlines()[1].split(",")[2]) < float(full.splitlines()[1].split(",")[2])
+    assert float(restricted.splitlines()[2].split(",")[2]) < float(full.splitlines()[2].split(",")[2])
     heavy = ("--d", "2", "--k", "2", "--ell", "2", "--alpha", "4", "--t-grid", "1",
-             "--samples", "20000", "--K", "1.5", "--L", "3")
+             "--samples", "20000")
     for kind in ("L", "brownian"):
-        code, out, err = run_cli(capsys, "oracle", "--kind", kind, *heavy)
+        code, out, err = run_cli(capsys, "oracle", "--kind", kind, *heavy, "--annulus", "1.5,3")
         assert code == 2 and out == "", kind
         assert "configuration error: annulus restriction" in err
-    # a heavy mixture's missing --K is the family's start, K = 1 (a multiple of R)
-    mixture = ("oracle", "--kind", "mixture", "--d", "2", "--k", "2", "--ell", "1",
-               "--alpha", "4", "--L", "2", "--regime", "sparse", "--t-grid", "0.5,1")
-    code, out, err = run_cli(capsys, *mixture)
+    # a heavy annulus starts at K = 1, a multiple of R
+    code, out, err = run_cli(capsys, "oracle", "--kind", "mixture", "--regime", "sparse",
+                             *heavy, "--annulus", "0.5,2")
+    assert code == 2 and out == ""
+    assert err == "configuration error: annulus needs 1 <= K < L, got (0.5, 2.0)\n"
+
+
+def test_oracle_prints_the_report_csv(capsys):
+    """``oracle`` prints what ``write_covariance_csv`` writes into a report,
+    provenance line included; the rows are the ones the command printed when
+    the annulus was spelled ``--K 1 --L 2``."""
+    code, out, err = run_cli(capsys, "oracle", "--kind", "mixture", "--d", "2", "--k", "2",
+                             "--ell", "1", "--alpha", "4", "--regime", "sparse",
+                             "--t-grid", "0.5,1", "--samples", "20000", "--seed", "1",
+                             "--annulus", "1,2")
     assert code == 0 and err == ""
-    assert out == run_cli(capsys, *mixture, "--K", "1")[1]
+    params = OracleParams(d=2, ell=1, shape=named_shape(2, "complete"), t_grid=[0.5, 1.0],
+                          alpha=4.0, annulus=(1.0, 2.0), n_samples=20_000, seed=1)
+    buf = io.StringIO()
+    write_covariance_csv(mixture_covariance("sparse", params), buf)
+    assert out == buf.getvalue()
+    assert out.splitlines()[0] == ('# provenance: {"annulus": [1.0, 2.0], '
+                                   '"formula": "mixture_heavy_sparse", "xi": null}')
+    assert out.splitlines()[1:] == [
+        "t,s,value,std_err",
+        "0.5,0.5,0.42488646946689684,0.011338938467685732",
+        "0.5,1.0,0.42488646946689684,0.011338938467685732",
+        "1.0,0.5,0.42488646946689684,0.011338938467685732",
+        "1.0,1.0,1.6548550754389046,0.019974773676262637",
+    ]
 
 
 def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
@@ -611,8 +658,10 @@ def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
           "weak_core", "--n-range", "1e2,1e6"), "superexponential tail"),
         ((*oracle, "--d", "0", "--t-grid", "1"), "dimension d must be >= 1"),
         ((*oracle, "--d", "2", "--t-grid", "nan"), "t_grid must be a nonempty nonnegative"),
+        ((*oracle, "--d", "2", "--t-grid", "1", "--annulus", "1"),
+         "[oracle] --annulus: expected two numbers"),
         ((*count, "nan"), "t_grid must be nonnegative"),
-        ((*count, "1", "--R", "nan"), "exclusion radius must be >= 0, got nan"),
+        ((*count, "1", "--R", "-1"), "exclusion radius must be >= 0, got -1.0"),
         (("oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2", "--alpha", "nan",
           "--t-grid", "1", "--samples", "5000"), "divergent block constant"),
         (("oracle", "--kind", "mixture", "--regime", "critical", "--xi", "inf", "--d", "2",
@@ -626,8 +675,8 @@ def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
           "--t-grid", "1", "--annulus", "0,1"), "a(R)-scaled annulus needs R > 0, got R = 0.0"),
         ((*count, "1.0,x"), "[count] --t-grid: expected a number, got 'x'"),
         (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
-          "--exterior-radius", "inf"), "exterior radius must be finite, got inf"),
-        ((*count, "1", "--exterior-radius", "nan"), "exterior radius must be finite, got nan"),
+          "--R", "inf"), "exterior radius must be finite, got inf"),
+        ((*count, "1", "--R", "nan"), "exterior radius must be finite, got nan"),
         (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "nan"),
          "intensity must be positive and finite, got nan"),
         (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",
@@ -668,8 +717,8 @@ def test_count_annulus_in_the_family_units(capsys):
     expected = np.stack([curve.counts for curve in count_decomposed(cloud, req)], axis=1)
     assert expected[-1, 0] > 0
     code, out, _ = run_cli(capsys, "count", "--family", "vonmises", "--d", "2", "--tau", "0.5",
-                           "--n", "1000", "--exterior-radius", "10", "--seed", "4", "--k", "2",
-                           "--t-grid", "0.5,1.0,2.0", "--R", "10", "--annulus", "0,0.5")
+                           "--n", "1000", "--R", "10", "--seed", "4", "--k", "2",
+                           "--t-grid", "0.5,1.0,2.0", "--annulus", "0,0.5")
     assert code == 0
     rows = [line.split(",")[2:] for line in out.strip().splitlines()[1:]]
     assert np.array_equal(np.array(rows, dtype=np.int64), expected)

@@ -15,6 +15,7 @@ from rgglab.densities import (
     CoreSchedule,
     PoissonLayerSchedule,
     PowerSchedule,
+    WeakCoreSchedule,
     sample_poisson_cloud,
     weak_core_radius,
 )
@@ -22,6 +23,7 @@ from rgglab.harness import (
     ExperimentConfig,
     ExperimentError,
     _chi2_sf,
+    _default_classify_range,
     _poisson_pmf,
     _poisson_upper_tail,
     cubes_inside_ball,
@@ -99,6 +101,18 @@ def test_clt_refuses_boundary_schedule(power24, k2):
                        ("workers", -3)):
         with pytest.raises(ExperimentError, match=f"^{key}: "):
             small_cfg(power24, k2, **{key: value})
+
+
+def test_default_classify_range_steps_up_to_the_schedule(power24, k2):
+    """The default range starts two decades below the ladder, a decade
+    higher per try while the schedule is undefined there.  The weak core of
+    ``PowerLawDensity(2, 4)`` needs n f(0) > 1, which fails at n = 1 and
+    holds at n = 10."""
+    cfg = small_cfg(power24, k2, schedule=WeakCoreSchedule(), n_ladder=(1e2, 1e3))
+    assert _default_classify_range(cfg) == (10.0, 1e3)
+    cfg = small_cfg(power24, k2, schedule=WeakCoreSchedule(), n_ladder=(1.0, 2.0))
+    with pytest.raises(ExperimentError, match="schedule undefined over any classification range"):
+        _default_classify_range(cfg)
 
 
 def test_palm_factorial_moment_case(power24, k2):

@@ -137,10 +137,6 @@ def test_mixture_weights(k2):
     # sparse with K=1, L=2: weight 1 - 2^{d - alpha k} = 1 - 2^{-6}
     mix2 = mixture_covariance("sparse", params(k2, n=50_000, seed=11, annulus=(1.0, 2.0)))
     assert np.allclose(mix2.matrix, (1 - 2.0 ** -6) * block.matrix, rtol=1e-12)
-    # a missing bound is the family's start below (K = 1 heavy, K = 0 light) and inf above
-    assert params(k2, annulus=(None, 2.0)).annulus == (1.0, 2.0)
-    assert params(k2, c=1.0, annulus=(None, 2.0)).annulus == (0.0, 2.0)
-    assert params(k2, annulus=(1.5, None)).annulus == (1.5, math.inf)
     # critical: xi-weighted sum over ell
     mix3 = mixture_covariance("critical", base, xi=1.0)
     b1 = covariance_L(params(k2, ell=1, n=50_000, seed=11 + 1))
