@@ -72,7 +72,7 @@ class _InverseCdf:
     binary search, and five coefficient columns hold each interval's left
     end and its cubic; every lookup is a ``take`` from one contiguous
     array.  All tables are built in ``__post_init__`` and never written
-    afterwards: exterior tables are shared by worker threads.
+    afterwards: exterior tables may be shared by threads.
     """
 
     r: np.ndarray
@@ -160,7 +160,9 @@ class RadialDensity:
         self.d = int(d)
         self.C = self._normalize()
         self._full_inverse: _InverseCdf | None = None
-        self._exterior_cache: dict[float, tuple[_InverseCdf, float]] = {}
+        # the latest exterior radius's (R, table, tail integral): a rung
+        # samples at one R, so a finished rung's table is not kept
+        self._exterior: tuple[float, _InverseCdf, float] | None = None
         self._tail_integral_cache: dict[float, float] = {}
 
     # -- profile (overridden) ------------------------------------------------
@@ -208,7 +210,7 @@ class RadialDensity:
     def _tail_ratio_integral(self, R: float) -> float:
         """T = int_0^inf _tail_ratio(R, v) dv (well scaled), memoized per R.
 
-        Worker threads share the memo: a value is stored only once complete,
+        Threads share the memo: a value is stored only once complete,
         so a race at worst recomputes it.
         """
         cached = self._tail_integral_cache.get(R)
@@ -269,7 +271,7 @@ class RadialDensity:
         past them, draws the directions into the output: above one chunk on
         ``_FILLER``, in chunk order, so that the bits do not depend on the
         thread.  One helper serves the process, as one per call would crowd
-        the cores that replication workers fill.  This needs a PCG64
+        the cores when several threads sample at once.  This needs a PCG64
         generator, whose random doubles take one 64-bit word each.
         """
         bits = getattr(rng, "bit_generator", None)
@@ -318,9 +320,9 @@ class RadialDensity:
         return self._points(rng, size, radius)
 
     def _exterior_inverse(self, R: float) -> tuple[_InverseCdf, float]:
-        cached = self._exterior_cache.get(R)
-        if cached is not None:
-            return cached
+        cached = self._exterior
+        if cached is not None and cached[0] == R:
+            return cached[1:]
         hi = self._delta_hi(R)
         total = self._tail_ratio_integral(R)
         # the ratio is 1 at v = 0 and the mass sits within ~total of the
@@ -330,9 +332,7 @@ class RadialDensity:
         cdf = cumulative_simpson(self._tail_ratio(R, grid), grid)
         # normalized by its own last value, so that the table's CDF ends at 1
         inv = _InverseCdf(r=grid, cdf=cdf / cdf[-1])
-        if len(self._exterior_cache) > 32:
-            self._exterior_cache.clear()
-        self._exterior_cache[R] = (inv, total)
+        self._exterior = (R, inv, total)
         return inv, total
 
     def sample_exterior(self, rng: np.random.Generator, size: int, R: float) -> np.ndarray:
@@ -642,18 +642,23 @@ class LogBandSchedule(RadiusSchedule):
 
 def sample_poisson_cloud(n: float, density: RadialDensity, rng: np.random.Generator,
                          exterior_radius: float | None = None, seed=None):
-    """Poisson(n f) process; with ``exterior_radius`` only its restriction to
-    {||x|| >= R} is realized (count thinned by the exterior probability)."""
+    """Poisson(n f) process; with ``exterior_radius`` R > 0 only its
+    restriction to {||x|| >= R} is realized (count thinned by the exterior
+    probability).  R = 0 or None gives the full cloud; a negative or
+    non-finite R is refused."""
     from .counting import PointCloud   # local import to avoid a cycle
 
     n = float(n)
     if not 0 < n < math.inf:
         raise InvalidParameterError(f"intensity must be positive and finite, got {n}")
-    full = exterior_radius is None or exterior_radius <= 0
-    if not (full or math.isfinite(exterior_radius)):
-        raise InvalidParameterError(
-            f"exterior radius must be finite, got {exterior_radius}")
-    if full:
+    if exterior_radius is not None:
+        if not math.isfinite(exterior_radius):
+            raise InvalidParameterError(
+                f"exterior radius must be finite, got {exterior_radius}")
+        if exterior_radius < 0:
+            raise InvalidParameterError(
+                f"exclusion radius must be >= 0, got {float(exterior_radius)!r}")
+    if not exterior_radius:        # None or 0: the full cloud
         lam = n
         count = int(rng.poisson(lam))
         pts = density.sample(rng, count)

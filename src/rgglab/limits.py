@@ -121,17 +121,16 @@ class LimitCovariance:
 # configuration sampling and indicator evaluation
 # ---------------------------------------------------------------------------
 
-def _ball_draws(rng, count: int, m: int, d: int, radius: float):
-    """Variates of (count, m, d) points uniform in B(0, radius), before
-    ``_scale_points`` scales them: Gaussian directions, then (count, m) radii
-    ``radius * u^(1/d)``, drawn in that order."""
-    if m == 0:
-        return np.empty((count, 0, d)), np.empty((count, 0))
-    z = rng.standard_normal((count, m, d))
-    r = rng.random(count * m)
-    r **= 1.0 / d
+def _ball_draws(rng, z: np.ndarray, r: np.ndarray, radius: float):
+    """Fill the (count, m, d) buffer z and the (count, m) buffer r with the
+    variates of count x m points uniform in B(0, radius), before
+    ``_scale_points`` scales them: Gaussian directions, then radii
+    ``radius * u^(1/d)``, drawn in that order.  Returns (z, r)."""
+    rng.standard_normal(out=z)
+    rng.random(out=r)
+    r **= 1.0 / z.shape[2]
     r *= radius
-    return z, r.reshape(count, m)
+    return z, r
 
 
 def _scale_points(z: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -236,11 +235,14 @@ def block_moments(params: OracleParams, mode: str, rng: np.random.Generator,
     top = np.array([t_max])
     sum_m = np.zeros((T, T))
     sq_m = np.zeros((T, T))
-    remaining = params.n_samples
-    while remaining > 0:
-        count = min(_CHUNK, remaining)
-        remaining -= count
-        draws = [_ball_draws(rng, count, m, d, radius) for m in (n_shared, n_z, n_z)]
+    # one buffer pair per point group, which every chunk draws into afresh
+    size = min(_CHUNK, params.n_samples)
+    buffers = [(np.empty((size, m, d)), np.empty((size, m))) for m in (n_shared, n_z, n_z)]
+
+    def chunk(count: int) -> None:
+        """Draw and add up ``count`` draws.  Every array the chunk makes
+        dies when it returns, before the next chunk draws."""
+        draws = [_ball_draws(rng, z[:count], r[:count], radius) for z, r in buffers]
         extra = None if weigh is None else weigh[0](rng, count)
         # Every grid graph is a subgraph of the one at t_max, so a draw whose
         # configurations are not both the shape or denser there reads 0 at
@@ -281,6 +283,9 @@ def block_moments(params: OracleParams, mode: str, rng: np.random.Generator,
             a1 = full(a1)
             a2 = a1 if n_z == 0 else full(a2)
         _accumulate(sum_m, sq_m, w, a1, a2)
+
+    for done in range(0, params.n_samples, _CHUNK):
+        chunk(min(_CHUNK, params.n_samples - done))
 
     N = params.n_samples
     mean = sum_m / N

@@ -677,6 +677,10 @@ def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
         (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
           "--R", "inf"), "exterior radius must be finite, got inf"),
         ((*count, "1", "--R", "nan"), "exterior radius must be finite, got nan"),
+        (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
+          "--R", "-1"), "exclusion radius must be >= 0, got -1.0"),
+        (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "200",
+          "--R=-inf"), "exterior radius must be finite, got -inf"),
         (("sample", "--family", "power", "--d", "2", "--alpha", "4", "--n", "nan"),
          "intensity must be positive and finite, got nan"),
         (("regime", "--family", "power", "--d", "2", "--alpha", "4", "--schedule",

@@ -1,6 +1,5 @@
 """Radial laws: normalization, samplers, tails, and derived radii."""
 
-import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -482,9 +481,9 @@ def test_sample_keeps_draw_everything_stream(d):
 
 
 def test_concurrent_clouds_share_one_helper_bit_for_bit(monkeypatch, power24, k2):
-    """Multi-chunk clouds sampled by four replication workers at once keep
-    the bits and generator states of one worker and of the draw-everything
-    stream, and their directions fill on one helper thread, not one per call."""
+    """Multi-chunk clouds sampled by four threads at once keep the bits and
+    generator states of one thread and of the draw-everything stream, and
+    their directions fill on one helper thread, not one per call."""
     from rgglab import densities, harness
     from rgglab.densities import _CHUNK
 
@@ -503,17 +502,46 @@ def test_concurrent_clouds_share_one_helper_bit_for_bit(monkeypatch, power24, k2
     def work(rep, rng):
         return sample_poisson_cloud(cfg.n_ladder[-1], power24, rng).points, rng.bit_generator.state
 
+    serial = harness._run_replications(cfg, 0, work)
+    pooled = [None] * cfg.replications
+    start = threading.Barrier(4)
+
+    def thread_work(reps):
+        start.wait(timeout=60)
+        for rep in reps:
+            pooled[rep] = work(rep, np.random.default_rng(
+                harness.replication_seed(cfg.master_seed, 0, rep)))
+
+    threads = [threading.Thread(target=thread_work, args=(range(i, cfg.replications, 4),))
+               for i in range(4)]
     alive.clear()
-    runs = [harness._run_replications(dataclasses.replace(cfg, workers=w), 0, work)
-            for w in (1, 4)]
-    assert max(alive) <= baseline + 4                        # the pool's 4 threads
-    for rep, ((serial, serial_state), (pooled, pooled_state)) in enumerate(zip(*runs)):
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert max(alive) <= baseline + 4                        # the four threads, no more
+    for rep, ((serial_pts, serial_state), (pooled_pts, pooled_state)) in enumerate(
+            zip(serial, pooled)):
         ref = np.random.default_rng(harness.replication_seed(cfg.master_seed, 0, rep))
         u = ref.random(ref.poisson(cfg.n_ladder[-1]))
         assert u.size > 3 * _CHUNK
         expected = _expected_sample(power24, power24._radial_inverse(), 0.0, u, ref, True)
-        assert np.array_equal(serial, expected) and np.array_equal(pooled, expected), rep
+        assert np.array_equal(serial_pts, expected) and np.array_equal(pooled_pts, expected), rep
         assert serial_state == pooled_state == ref.bit_generator.state, rep
+
+
+def test_exterior_table_is_kept_for_the_latest_radius_only():
+    """A second radius replaces the first radius's table; the same radius
+    reuses it, and a rebuilt table has the same bits."""
+    density = PowerLawDensity(2, 4.0)
+    first, total = density._exterior_inverse(2.0)
+    assert density._exterior_inverse(2.0)[0] is first
+    density._exterior_inverse(3.0)
+    assert density._exterior[0] == 3.0
+    rebuilt, rebuilt_total = density._exterior_inverse(2.0)
+    assert rebuilt is not first and rebuilt_total == total
+    assert np.array_equal(rebuilt.r, first.r) and np.array_equal(rebuilt.cdf, first.cdf)
 
 
 def test_one_chunk_cloud_fills_inline(monkeypatch, power24):

@@ -4,12 +4,15 @@ statistical helpers."""
 import hashlib
 import json
 import math
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.spatial import cKDTree
 
+from rgglab import harness
 from rgglab.counting import CountRequest, count_subgraphs
 from rgglab.densities import (
     CoreSchedule,
@@ -87,6 +90,109 @@ def test_clt_determinism_across_workers(power24, k2, tmp_path):
     assert outs[0].keys() == outs[1].keys()
     for name in outs[0]:
         assert outs[0][name] == outs[1][name], name
+
+
+class _InlineExecutor:
+    """A stand-in for ``ThreadPoolExecutor`` that runs each submission at
+    once, on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+def test_clt_oracle_on_the_helper_writes_the_inline_bytes(power24, k2, tmp_path,
+                                                          monkeypatch):
+    """The oracle runs on a helper thread beside the replications, and the
+    artifacts are byte-identical to running it inline first."""
+    oracle, threads = harness.mixture_covariance, []
+
+    def recording_oracle(*args):
+        threads.append(threading.get_ident())
+        return oracle(*args)
+
+    monkeypatch.setattr(harness, "mixture_covariance", recording_oracle)
+    outs = []
+    for executor in (harness.ThreadPoolExecutor, _InlineExecutor):
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", executor)
+        out = tmp_path / executor.__name__
+        write_report(run_clt_experiment(small_cfg(power24, k2, replications=20)), out)
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    main = threading.get_ident()
+    assert threads[0] != main and threads[1] == main
+    assert outs[0].keys() == outs[1].keys()
+    for name in outs[0]:
+        assert outs[0][name] == outs[1][name], name
+
+
+_SMALL_CLT_INI = """
+[density]
+family = power
+d = 2
+alpha = 4.0
+
+[schedule]
+kind = power
+beta = 0.3
+
+[shape]
+k = 2
+name = complete
+
+[experiment]
+kind = clt
+t_grid = 0.6, 1.0
+n_ladder = 1e4, 3e4
+replications = 10
+oracle_samples = 20000
+"""
+
+
+def test_failing_oracle_exits_2_and_leaves_no_thread(tmp_path, monkeypatch, capsys):
+    """An oracle that raises gives exit 2 with its message and writes no
+    ``--out``; a replication that raises comes through as raised.  Either
+    way the helper thread is joined before the experiment returns."""
+    from rgglab.cli import parse_and_dispatch
+    from rgglab.densities import InvalidParameterError
+
+    config = tmp_path / "clt.ini"
+    config.write_text(_SMALL_CLT_INI)
+    out = tmp_path / "out"
+    baseline = threading.active_count()
+
+    def refuse(*args):
+        raise InvalidParameterError("the oracle refuses")
+
+    monkeypatch.setattr(harness, "mixture_covariance", refuse)
+    code = parse_and_dispatch(["experiment", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: the oracle refuses\n"
+    assert not out.exists()
+    assert threading.active_count() == baseline
+
+    monkeypatch.undo()
+
+    def broken_count(*args):
+        raise RuntimeError("the replication broke")
+
+    monkeypatch.setattr(harness, "count_decomposed", broken_count)
+    with pytest.raises(RuntimeError, match="the replication broke"):
+        parse_and_dispatch(["experiment", "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+    assert threading.active_count() == baseline
 
 
 def test_clt_refuses_boundary_schedule(power24, k2):

@@ -255,6 +255,19 @@ def test_indicator_values_match_reference(rng, path3):
         assert vals.any() and minus.any(), (shape, cfgs.shape)
 
 
+def _fresh_ball_draws(rng, count: int, m: int, d: int, radius: float):
+    """``limits._ball_draws``' variates drawn into fresh arrays, as the
+    oracle drew them before it filled buffers: Gaussian directions, then
+    (count, m) radii ``radius * u^(1/d)``, in that order."""
+    if m == 0:
+        return np.empty((count, 0, d)), np.empty((count, 0))
+    z = rng.standard_normal((count, m, d))
+    r = rng.random(count * m)
+    r **= 1.0 / d
+    r *= radius
+    return z, r.reshape(count, m)
+
+
 def _einsum_reference(p: OracleParams, mode: str, light: bool):
     """(matrix, std_err) of one oracle block by the plain arithmetic: both
     configurations classified and per-chunk three-operand einsum sums."""
@@ -276,9 +289,9 @@ def _einsum_reference(p: OracleParams, mode: str, light: bool):
     while remaining > 0:
         count = min(1 << 15, remaining)
         remaining -= count
-        shared = _scale_points(*_ball_draws(rng, count, n_shared, d, radius))
-        z1 = _scale_points(*_ball_draws(rng, count, n_z, d, radius))
-        z2 = _scale_points(*_ball_draws(rng, count, n_z, d, radius))
+        shared = _scale_points(*_fresh_ball_draws(rng, count, n_shared, d, radius))
+        z1 = _scale_points(*_fresh_ball_draws(rng, count, n_z, d, radius))
+        z2 = _scale_points(*_fresh_ball_draws(rng, count, n_z, d, radius))
         zeros = np.zeros((count, 1, d))
         a1 = _mode_values(atlas, p.shape, np.concatenate([zeros, shared, z1], axis=1),
                           grid, mode).astype(float)
@@ -376,7 +389,7 @@ def test_radius_prefilter_rejects_only_dead_rows(d, path3):
     # every rejected row, once scaled, reads 0 in the plus mode at t_max
     t_max, count = 1.0, 20_000
     rng = np.random.default_rng(d)
-    draws = [_ball_draws(rng, count, 2, d, 3 * t_max)]
+    draws = [_fresh_ball_draws(rng, count, 2, d, 3 * t_max)]
     rows = _within_reach(draws, 3, t_max)
     assert 0 < rows.size < count
     dead = np.setdiff1d(np.arange(count), rows)
@@ -397,15 +410,31 @@ def test_light_oracle_finite_at_small_c(k2):
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
 def test_ball_points_match_plain_formula(d):
     # directions z / |z| scaled by radius * u^(1/d), from the same draws
-    got = _scale_points(*_ball_draws(np.random.default_rng(d), 3000, 3, d, 2.5))
+    got = _scale_points(*_ball_draws(np.random.default_rng(d), np.empty((3000, 3, d)),
+                                     np.empty((3000, 3)), 2.5))
     rng = np.random.default_rng(d)
     z = rng.standard_normal((3000, 3, d))
     r = 2.5 * rng.random((3000, 3)) ** (1.0 / d)
     want = z / np.linalg.norm(z, axis=2, keepdims=True) * r[:, :, None]
     assert np.array_equal(got, want)
     assert np.linalg.norm(got, axis=2).max() <= 2.5
-    empty = _scale_points(*_ball_draws(np.random.default_rng(d), 10, 0, d, 2.5))
+    empty = _scale_points(*_ball_draws(np.random.default_rng(d), np.empty((10, 0, d)),
+                                       np.empty((10, 0)), 2.5))
     assert empty.shape == (10, 0, d)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ball_draws_into_reused_buffers_match_fresh_arrays(m):
+    """Buffers refilled chunk after chunk, the last one partly, hold the
+    fresh arrays' bits and leave the generator where they leave it."""
+    d, radius = 2, 3.0
+    got, ref = np.random.default_rng(9), np.random.default_rng(9)
+    z_buf, r_buf = np.empty((500, m, d)), np.empty((500, m))
+    for count in (500, 500, 123):
+        z, r = _ball_draws(got, z_buf[:count], r_buf[:count], radius)
+        z_ref, r_ref = _fresh_ball_draws(ref, count, m, d, radius)
+        assert np.array_equal(z, z_ref) and np.array_equal(r, r_ref), count
+        assert got.bit_generator.state == ref.bit_generator.state, count
 
 
 def test_accumulate_unit_weights_bit_identical(rng):
