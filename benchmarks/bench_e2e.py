@@ -34,16 +34,28 @@ SEED = 1
 SECONDS = 20.0
 
 
-def run_perfbench(workload: str, trace: int) -> dict:
-    """One ``perfbench/run.py`` run: its result object, samples and environment."""
+def bytecode_refusal(root: Path) -> str | None:
+    """The ``.pyc`` files under ``root/src``, which would shorten ``setup_s``,
+    as a message; None if there are none."""
+    cached = sorted(str(path) for path in (root / "src").rglob("*.pyc"))
+    if not cached:
+        return None
+    return "bytecode under src/ would shorten setup_s; delete it first:\n" + \
+        "".join(f"  {path}\n" for path in cached)
+
+
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in the checkout ``root``, writing no
+    bytecode: its result object, with perfbench's environment line, every
+    repetition's samples and the failed checks."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=False,
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench/run.py {workload} --trace {trace} exited "
+        raise RuntimeError(f"perfbench/run.py {workload} --trace {trace} in {root} exited "
                            f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
     result["environment"] = next(
@@ -58,10 +70,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     args = p.parse_args(argv)
-    cached = sorted(str(path.relative_to(ROOT)) for path in (ROOT / "src").rglob("*.pyc"))
-    if cached:
-        sys.stderr.write("bytecode under src/ would shorten setup_s; delete it first:\n"
-                         + "".join(f"  {path}\n" for path in cached))
+    why = bytecode_refusal(ROOT)
+    if why:
+        sys.stderr.write(why)
         return 2
 
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
@@ -69,8 +80,8 @@ def main(argv=None) -> int:
     record = {"label": args.label, "commit": commit or None, "seed": SEED,
               "seconds": SECONDS, "environment": None, "workloads": {}}
     for workload in WORKLOADS:
-        plain = run_perfbench(workload, trace=0)
-        traced = run_perfbench(workload, trace=1)
+        plain = run_perfbench(ROOT, workload, SEED, SECONDS, trace=0)
+        traced = run_perfbench(ROOT, workload, SEED, SECONDS, trace=1)
         record["environment"] = plain["environment"]
         record["workloads"][workload] = {
             "correct": plain["correct"] and traced["correct"],

@@ -33,13 +33,12 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
-import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_e2e import bytecode_refusal, run_perfbench  # noqa: E402
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -83,28 +82,13 @@ def refusal(parent: Path, change: Path) -> str | None:
     for root in (parent, change):
         if not (root / "perfbench" / "run.py").is_file():
             return f"{root} holds no perfbench/run.py"
-        cached = sorted(str(p) for p in (root / "src").rglob("*.pyc"))
-        if cached:
-            return "bytecode under src/ would shorten setup_s; delete it first:\n" + \
-                "".join(f"  {p}\n" for p in cached)
+        why = bytecode_refusal(root)
+        if why:
+            return why
     differ = _differing(parent / "perfbench", change / "perfbench")
     if differ:
         return "the perfbench/ trees differ:\n" + "".join(f"  {p}\n" for p in differ)
     return None
-
-
-def run_once(root: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``root``: its result object."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench/run.py in {root} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
 
 
 def main(argv=None) -> int:
@@ -129,8 +113,8 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seconds,
-                                          args.seed))
+            results[side].append(run_perfbench(sides[side], args.workload, args.seed,
+                                               args.seconds, trace=0))
         row = "  ".join(f"{side} {m['name']} {results[side][-1]['metrics'][m['name']]['value']:.4g}"
                         for side in sides for m in declared)
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {row}", flush=True)

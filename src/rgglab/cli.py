@@ -58,7 +58,6 @@ from .regimes import (
     UnclassifiableError,
     check_growth_condition,
     classify_regime,
-    evidence_grid,
     log_tau,
 )
 
@@ -162,7 +161,10 @@ def _cmd_oracle(args) -> int:
     shape = _from_flags(args, "shape")
     t_grid = np.array(_float_list("oracle", "--t-grid", args.t_grid))
     annulus = _float_pair("oracle", "--annulus", args.annulus) if args.annulus else None
-    params = OracleParams(d=args.d, ell=args.ell, shape=shape,
+    if args.kind == "mixture" and args.ell is not None:
+        raise ConfigError("[oracle] --ell: a mixture sums its own blocks; drop --ell")
+    ell = args.k if args.ell is None else args.ell
+    params = OracleParams(d=args.d, ell=ell, shape=shape,
                           alpha=args.alpha, c=args.c, t_grid=t_grid, annulus=annulus,
                           **_given(n_samples=args.samples, seed=args.seed))
     mode = _given(mode=args.mode)
@@ -185,22 +187,17 @@ def _cmd_oracle(args) -> int:
 def _cmd_regime(args) -> int:
     density = _from_flags(args, "density")
     schedule = _from_flags(args, "schedule")
-    lo, hi = _float_pair("regime", "--n-range", args.n_range)
-    regime = classify_regime(density, schedule, (lo, hi))
-    growth = check_growth_condition(density, schedule, args.k, (lo, hi))
+    regime = classify_regime(density, schedule, _float_pair("regime", "--n-range", args.n_range))
+    growth = check_growth_condition(density, regime, args.k)
     sys.stdout.write("n,R_n,q_n,log_growth_product\n")
-    ns = evidence_grid((lo, hi))
-    for i, n in enumerate(ns):
-        R = schedule.radius(density, n)
-        sys.stdout.write(f"{float(n)!r},{float(R)!r},{float(regime.q_values[i])!r},"
-                         f"{float(growth.log_products[i])!r}\n")
+    for row in zip(regime.n_values, regime.r_values, regime.q_values, growth.log_products):
+        sys.stdout.write(",".join(repr(float(v)) for v in row) + "\n")
     sys.stdout.write(f"# regime: {regime.tag}"
                      + (f" (xi={float(regime.xi)!r})" if regime.xi is not None else "") + "\n")
     sys.stdout.write(f"# growth_condition: {'pass' if growth.passed else 'fail'} "
                      f"(final decade gain {growth.final_decade_gain!r})\n")
+    n, R = regime.n_values[-1], regime.r_values[-1]
     for tag in ("sparse", "critical", "dense"):
-        n = ns[-1]
-        R = schedule.radius(density, n)
         sys.stdout.write(f"# tau[{tag}] at n={n:g}: "
                          f"{math.exp(log_tau(density, tag, n, R, args.k))!r}\n")
     return 0
@@ -283,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("L", "M", "mixture", "brownian"), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=int,
+                   help="block of L, M and brownian (default: --k); mixture takes none")
     p.add_argument("--alpha", type=float)
     p.add_argument("--c", type=float, help="light-tail a-limit (inf allowed)")
     p.add_argument("--shape-name")

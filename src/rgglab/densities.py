@@ -50,7 +50,6 @@ def unit_ball_volume(d: int) -> float:
 _TABLE_SIZE = 4096
 _TABLE_TAIL = 1e-12          # tabulate the inverse CDF out to this tail mass
 _RESIDUAL_W = 1e-18          # truncate ratio integrands below this weight
-_TAIL_CACHE_SIZE = 256       # memoized tail integrals kept per density
 # inverse-CDF interval lookup buckets over [0, max_cdf], 16 bytes each; more
 # were no faster, and every cached exterior table holds its own
 _BUCKETS = 1 << 14
@@ -160,10 +159,9 @@ class RadialDensity:
         self.d = int(d)
         self.C = self._normalize()
         self._full_inverse: _InverseCdf | None = None
-        # the latest exterior radius's (R, table, tail integral): a rung
-        # samples at one R, so a finished rung's table is not kept
-        self._exterior: tuple[float, _InverseCdf, float] | None = None
-        self._tail_integral_cache: dict[float, float] = {}
+        # the latest radius's (R, tail integral T, exterior table or None): a
+        # rung samples at one R, so a finished rung's values are not kept
+        self._latest: tuple[float, float, _InverseCdf | None] | None = None
 
     # -- profile (overridden) ------------------------------------------------
     def _g(self, r):
@@ -208,14 +206,12 @@ class RadialDensity:
         return ((R + v) / R) ** (self.d - 1) * np.exp(self._log_g(R + v) - float(self._log_g(R)))
 
     def _tail_ratio_integral(self, R: float) -> float:
-        """T = int_0^inf _tail_ratio(R, v) dv (well scaled), memoized per R.
-
-        Threads share the memo: a value is stored only once complete,
-        so a race at worst recomputes it.
-        """
-        cached = self._tail_integral_cache.get(R)
-        if cached is not None:
-            return cached
+        """T = int_0^inf _tail_ratio(R, v) dv (well scaled), kept in the
+        latest-radius record.  Threads share the record: it is replaced
+        whole, once complete, so a race at worst recomputes a value."""
+        latest = self._latest
+        if latest is not None and latest[0] == R:
+            return latest[1]
         # a 20-point rule on each of 64 log-spaced segments: the integrand
         # varies on the scale R and can spread its mass across many decades
         # for slowly decaying tails
@@ -223,9 +219,7 @@ class RadialDensity:
         cuts = np.concatenate([[0.0], np.geomspace(min(hi * 1e-14, R * 1e-3), hi, 64)])
         v, w = gauss_legendre(cuts, 20)
         total = float(w @ self._tail_ratio(R, v))
-        if len(self._tail_integral_cache) > _TAIL_CACHE_SIZE:
-            self._tail_integral_cache.clear()
-        self._tail_integral_cache[R] = total
+        self._latest = (R, total, None)
         return total
 
     def _delta_hi(self, R: float) -> float:
@@ -319,10 +313,11 @@ class RadialDensity:
 
         return self._points(rng, size, radius)
 
-    def _exterior_inverse(self, R: float) -> tuple[_InverseCdf, float]:
-        cached = self._exterior
-        if cached is not None and cached[0] == R:
-            return cached[1:]
+    def _exterior_inverse(self, R: float) -> _InverseCdf:
+        """Inverse CDF of ||X|| - R given ||X|| >= R, kept beside T in the record."""
+        latest = self._latest
+        if latest is not None and latest[0] == R and latest[2] is not None:
+            return latest[2]
         hi = self._delta_hi(R)
         total = self._tail_ratio_integral(R)
         # the ratio is 1 at v = 0 and the mass sits within ~total of the
@@ -332,14 +327,14 @@ class RadialDensity:
         cdf = cumulative_simpson(self._tail_ratio(R, grid), grid)
         # normalized by its own last value, so that the table's CDF ends at 1
         inv = _InverseCdf(r=grid, cdf=cdf / cdf[-1])
-        self._exterior = (R, inv, total)
-        return inv, total
+        self._latest = (R, total, inv)
+        return inv
 
     def sample_exterior(self, rng: np.random.Generator, size: int, R: float) -> np.ndarray:
         """iid points from f conditioned on ||X|| >= R (exact restriction law)."""
         if R <= 0:
             return self.sample(rng, size)
-        inv, _ = self._exterior_inverse(R)
+        inv = self._exterior_inverse(R)
         return self._points(rng, size, lambda u: R + inv.eval_chunk(u))
 
     # -- family-specific hooks ------------------------------------------------

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,13 @@ class ExperimentConfig:
     classify_n_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
+        grid = self.t_grid = np.asarray(self.t_grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) \
+                or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
+            raise ExperimentError("t_grid: needs a nonempty, finite, nonnegative and "
+                                  f"strictly ascending list, got {grid.tolist()}")
+        if self.master_seed < 0:
+            raise ExperimentError(f"master_seed: needs at least 0, got {self.master_seed}")
         ladder = tuple(float(n) for n in self.n_ladder)
         if len(ladder) == 0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ExperimentError("n_ladder must be nonempty ascending")
@@ -97,11 +103,10 @@ class ExperimentConfig:
 @dataclass
 class ExperimentReport:
     kind: str
-    rungs: list[dict]
+    rungs: list[dict]    # a CLT rung holds its curves, plus and minus; a layer rung its counts
     flags: dict
     seed_audit: dict
     oracle: LimitCovariance | None = None
-    tables: dict = field(default_factory=dict)
 
 
 def replication_seed(master_seed: int, rung_idx: int, rep: int) -> np.random.SeedSequence:
@@ -181,7 +186,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     k = shape.k
     n_range = cfg.classify_n_range or _default_classify_range(cfg)
     regime = classify_regime(density, schedule, n_range)
-    growth = check_growth_condition(density, schedule, k, n_range)
+    growth = check_growth_condition(density, regime, k)
     if not growth.passed:
         raise BoundaryRegimeError(
             "growth condition fails on this schedule "
@@ -195,8 +200,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         n_samples=cfg.oracle_samples, seed=cfg.master_seed + 10_000,
     )
 
-    measured = []
-    raw_rows = []
+    rungs = []
     with ThreadPoolExecutor(1) as helper:
         pending = helper.submit(mixture_covariance, regime.tag, oracle_params, regime.xi)
         for rung_idx, n in enumerate(cfg.n_ladder):
@@ -212,13 +216,14 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 return h.counts, plus.counts, minus.counts, len(cloud)
 
             curves, plus, minus, sizes = _replicate(cfg, rung_idx, work)
-            for rep in range(cfg.replications):
-                raw_rows.append((n, rep, curves[rep], plus[rep], minus[rep]))
-            measured.append((n, R, tau_n, curves, plus, minus, sizes))
+            rungs.append({"n": n, "R": R, "tau": tau_n,
+                          "q": n * float(density.radial_profile(R)),
+                          "mean_cloud_size": float(sizes.mean()),
+                          "curves": curves, "plus": plus, "minus": minus})
         oracle = pending.result()
 
-    rungs = []
-    for n, R, tau_n, curves, plus, minus, sizes in measured:
+    for rung in rungs:
+        curves, plus, minus, tau_n = rung["curves"], rung["plus"], rung["minus"], rung["tau"]
         decomposition_exact = bool(np.array_equal(curves, plus - minus))
         monotone = bool(np.all(np.diff(plus, axis=1) >= 0)
                         and np.all(np.diff(minus, axis=1) >= 0))
@@ -239,10 +244,7 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         t_idx = int(np.argmin(np.abs(cfg.t_grid - cfg.t_ref)))
         paths = standardize(curves.astype(float), tau_n)
 
-        rungs.append({
-            "n": n, "R": R, "tau": tau_n,
-            "q": n * float(density.radial_profile(R)),
-            "mean_cloud_size": float(sizes.mean()),
+        rung.update({
             "cov_scaled": scaled,
             "ratio": ratio, "ratio_se": ratio_se,
             "band_fraction": band_fraction,
@@ -266,10 +268,8 @@ def run_clt_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "monotone_curves_all": all(r["monotone_curves"] for r in rungs),
         "ref_ratios": ref_ratios,
     }
-    return ExperimentReport(
-        kind="clt", rungs=rungs, flags=flags, seed_audit=_seed_audit(cfg),
-        oracle=oracle, tables={"raw_rows": raw_rows},
-    )
+    return ExperimentReport(kind="clt", rungs=rungs, flags=flags,
+                            seed_audit=_seed_audit(cfg), oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +547,20 @@ def write_report(report: ExperimentReport, out_dir: Path) -> dict:
     files = {}
 
     if report.kind == "clt":
+        grid = report.oracle.t_grid
         raw = out_dir / "raw_curves.csv"
         with open(raw, "w") as fh:
             fh.write("n,seed,t,count_h,count_plus,count_minus\n")
-            for n, rep, h, p, m in report.tables["raw_rows"]:
-                grid = report.oracle.t_grid
-                for j, t in enumerate(grid):
-                    fh.write(f"{_fmt(n)},{rep},{_fmt(float(t))},{h[j]},{p[j]},{m[j]}\n")
+            for rung in report.rungs:
+                for rep, (h, p, m) in enumerate(zip(rung["curves"], rung["plus"],
+                                                    rung["minus"])):
+                    for j, t in enumerate(grid):
+                        fh.write(f"{_fmt(rung['n'])},{rep},{_fmt(float(t))},"
+                                 f"{h[j]},{p[j]},{m[j]}\n")
         files["raw_curves"] = raw
         ratio = out_dir / "covariance_ratio.csv"
         with open(ratio, "w") as fh:
             fh.write("n,t,s,cov_scaled,oracle,ratio,ratio_se\n")
-            grid = report.oracle.t_grid
             for rung in report.rungs:
                 for i, t in enumerate(grid):
                     for j, s in enumerate(grid):

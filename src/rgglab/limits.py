@@ -95,8 +95,8 @@ class OracleParams:
         if self.d < 1:
             raise InvalidParameterError("dimension d must be >= 1")
         grid = np.asarray(self.t_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.all(grid >= 0):
-            raise InvalidParameterError("t_grid must be a nonempty nonnegative 1-d array")
+        if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0) & np.isfinite(grid)):
+            raise InvalidParameterError("t_grid must be a nonempty nonnegative finite 1-d array")
         object.__setattr__(self, "t_grid", grid)
         if self.n_samples < _MIN_SAMPLES:
             raise InvalidParameterError(f"need at least {_MIN_SAMPLES} MC samples")

@@ -37,7 +37,8 @@ class BoundaryRegimeError(RuntimeError):
 class RegimeClass:
     tag: str
     xi: float | None
-    n_values: np.ndarray
+    n_values: np.ndarray     # the evidence grid, its radii R_n and q_n = n f(R_n)
+    r_values: np.ndarray
     q_values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -65,19 +66,21 @@ def classify_regime(density: RadialDensity, schedule: RadiusSchedule,
                     n_range) -> RegimeClass:
     """Tag the schedule by the trend of q_n = n f(R_n e_1) over ``n_range``."""
     ns = evidence_grid(n_range)
-    qs = np.array([n * density.radial_profile(schedule.radius(density, n)) for n in ns])
+    rs = np.array([schedule.radius(density, n) for n in ns])
+    qs = np.array([n * density.radial_profile(R) for n, R in zip(ns, rs)])
     if np.any(qs <= 0) or not np.all(np.isfinite(qs)):
         raise UnclassifiableError("evidence sequence must be positive and finite")
     log_q = np.log(qs)
     decades_per_step = math.log10(ns[1] / ns[0])
     drift = np.diff(log_q) / decades_per_step       # relative drift per decade
+    evidence = {"n_values": ns, "r_values": rs, "q_values": qs}
     if np.all(np.abs(drift) < _CRITICAL_DRIFT):
-        return RegimeClass(tag=CRITICAL, xi=float(qs[-1]), n_values=ns, q_values=qs)
+        return RegimeClass(tag=CRITICAL, xi=float(qs[-1]), **evidence)
     tol = 1e-12
     if np.all(drift < tol):
-        return RegimeClass(tag=SPARSE, xi=None, n_values=ns, q_values=qs)
+        return RegimeClass(tag=SPARSE, xi=None, **evidence)
     if np.all(drift > -tol):
-        return RegimeClass(tag=DENSE, xi=None, n_values=ns, q_values=qs)
+        return RegimeClass(tag=DENSE, xi=None, **evidence)
     raise UnclassifiableError(
         "evidence n f(R_n) is non-monotone over the evaluated range; "
         "refusing to guess a regime")
@@ -86,25 +89,23 @@ def classify_regime(density: RadialDensity, schedule: RadiusSchedule,
 @dataclass(frozen=True)
 class GrowthReport:
     passed: bool
-    n_values: np.ndarray
     log_products: np.ndarray
     final_decade_gain: float    # log-product increase over the last decade
 
 
-def check_growth_condition(density: RadialDensity, schedule: RadiusSchedule,
-                           k: int, n_range) -> GrowthReport:
+def check_growth_condition(density: RadialDensity, regime: RegimeClass,
+                           k: int) -> GrowthReport:
     """Pass iff the normalizing product n^k f(R_n)^k V(R_n) still increases
-    over the last decade (its log is the sparse log tau_n)."""
+    over the last decade of the regime's evidence pairs (n, R_n) (its log is
+    the sparse log tau_n)."""
     _check_light_usable(density)
-    ns = evidence_grid(n_range)
-    logs = np.array([
-        log_tau(density, SPARSE, n, schedule.radius(density, n), k) for n in ns
-    ])
+    ns = regime.n_values
+    logs = np.array([log_tau(density, SPARSE, n, R, k)
+                     for n, R in zip(ns, regime.r_values)])
     steps_per_decade = max(int(round(1.0 / math.log10(ns[1] / ns[0]))), 1)
     gain = float(logs[-1] - logs[-1 - min(steps_per_decade, len(logs) - 1)])
     passed = gain > 1e-9
-    return GrowthReport(passed=passed, n_values=ns, log_products=logs,
-                        final_decade_gain=gain)
+    return GrowthReport(passed=passed, log_products=logs, final_decade_gain=gain)
 
 
 def log_tau(density: RadialDensity, tag: str, n: float, R: float, k: int) -> float:

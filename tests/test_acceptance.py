@@ -218,14 +218,11 @@ def test_criterion_05_heavy_sparse_clt():
     far = (1e6, 1e8, 1e10, 1e12)
     exact_at = {n: exact_pair_cumulants(density, n, cfg.schedule.radius(density, n), t_ref)
                 for n in sorted({*cfg.n_ladder, *far})}
-    curves_at = {}
-    for n, _, curve, _, _ in rep.tables["raw_rows"]:
-        curves_at.setdefault(n, []).append(curve)
     boot_rng = np.random.default_rng(MASTER_SEED)
     for rung in rep.rungs:
         n = rung["n"]
         exact = exact_at[n]
-        curves = np.array(curves_at[n])
+        curves = rung["curves"]
         mc_var = rung["cov_scaled"][t_idx, t_idx]
         var_se = _covariance_with_se(curves.astype(float))[1][t_idx, t_idx] / rung["tau"]
         exact_var = exact.kappa2 / rung["tau"]
@@ -261,7 +258,7 @@ def test_criterion_05_heavy_sparse_clt():
             + ", ".join(f"{x:.3f}" for x in skews))
 
     top_n = rep.rungs[-1]["n"]
-    values = np.array(curves_at[top_n])[:, t_idx].astype(float)
+    values = rep.rungs[-1]["curves"][:, t_idx].astype(float)
     z = (values - values.mean()) / values.std(ddof=1)
     print(f"  diagnostics at n = {top_n:.0e} (reference is the limit law): "
           f"ex-kurt = {stats.kurtosis(values):.3f}, KS p = {stats.kstest(z, 'norm').pvalue:.3g}")

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from rgglab.densities import (
     WeakCoreSchedule,
     sample_poisson_cloud,
 )
-from rgglab.harness import write_covariance_csv
+from rgglab.harness import ExperimentError, write_covariance_csv
 from rgglab.limits import OracleParams, mixture_covariance
 
 SMALL_CLT = """
@@ -425,9 +426,15 @@ def test_config_parser_validation(tmp_path):
                        ("annulus", "1.0, nan"), ("annulus", "1.0, -inf"),
                        ("annulus", "nan, 2"), ("annulus", "2, 1"),
                        ("classify_n_range", "1e2"), ("classify_n_range", "1e2, 1e4, 1e6"),
-                       ("classify_n_range", "1e2, x")):
+                       ("classify_n_range", "1e2, x"),
+                       # a t-grid is finite, nonnegative and strictly ascending
+                       ("t_grid", "2.5, 2.0, 1.5, 1.0, 0.5"), ("t_grid", "0.5, inf"),
+                       ("t_grid", "nan"), ("t_grid", "-0.5, 1"), ("t_grid", "1, 1"),
+                       ("master_seed", "-5")):
         with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: "):
             parse_config(text=SMALL_CLT, overrides=[f"experiment.{key}={value}"])
+    with pytest.raises(ExperimentError, match=r"^t_grid: "):     # no parsed list is empty
+        replace(parse_config(text=SMALL_CLT).experiment, t_grid=[])
     parsed = parse_config(text=SMALL_CLT, overrides=["experiment.annulus=1.0, inf"])
     assert parsed.experiment.annulus == (1.0, math.inf)
     # the atlas's refusals of an edge list are [shape] errors, as a bad name is
@@ -606,8 +613,7 @@ def test_oracle_annulus_flags_restrict_or_are_refused(capsys):
     code, restricted, _ = run_cli(capsys, *light, "--annulus", "0.5,1")
     assert code == 0
     assert float(restricted.splitlines()[2].split(",")[2]) < float(full.splitlines()[2].split(",")[2])
-    heavy = ("--d", "2", "--k", "2", "--ell", "2", "--alpha", "4", "--t-grid", "1",
-             "--samples", "20000")
+    heavy = ("--d", "2", "--k", "2", "--alpha", "4", "--t-grid", "1", "--samples", "20000")
     for kind in ("L", "brownian"):
         code, out, err = run_cli(capsys, "oracle", "--kind", kind, *heavy, "--annulus", "1.5,3")
         assert code == 2 and out == "", kind
@@ -624,11 +630,11 @@ def test_oracle_prints_the_report_csv(capsys):
     provenance line included; the rows are the ones the command printed when
     the annulus was spelled ``--K 1 --L 2``."""
     code, out, err = run_cli(capsys, "oracle", "--kind", "mixture", "--d", "2", "--k", "2",
-                             "--ell", "1", "--alpha", "4", "--regime", "sparse",
+                             "--alpha", "4", "--regime", "sparse",
                              "--t-grid", "0.5,1", "--samples", "20000", "--seed", "1",
                              "--annulus", "1,2")
     assert code == 0 and err == ""
-    params = OracleParams(d=2, ell=1, shape=named_shape(2, "complete"), t_grid=[0.5, 1.0],
+    params = OracleParams(d=2, ell=2, shape=named_shape(2, "complete"), t_grid=[0.5, 1.0],
                           alpha=4.0, annulus=(1.0, 2.0), n_samples=20_000, seed=1)
     buf = io.StringIO()
     write_covariance_csv(mixture_covariance("sparse", params), buf)
@@ -658,6 +664,7 @@ def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
           "weak_core", "--n-range", "1e2,1e6"), "superexponential tail"),
         ((*oracle, "--d", "0", "--t-grid", "1"), "dimension d must be >= 1"),
         ((*oracle, "--d", "2", "--t-grid", "nan"), "t_grid must be a nonempty nonnegative"),
+        ((*oracle, "--d", "2", "--t-grid", "0.5,inf"), "t_grid must be a nonempty nonnegative"),
         ((*oracle, "--d", "2", "--t-grid", "1", "--annulus", "1"),
          "[oracle] --annulus: expected two numbers"),
         ((*count, "nan"), "t_grid must be nonnegative"),
@@ -665,8 +672,11 @@ def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
         (("oracle", "--kind", "L", "--d", "2", "--k", "2", "--ell", "2", "--alpha", "nan",
           "--t-grid", "1", "--samples", "5000"), "divergent block constant"),
         (("oracle", "--kind", "mixture", "--regime", "critical", "--xi", "inf", "--d", "2",
-          "--k", "2", "--ell", "2", "--alpha", "4", "--t-grid", "1", "--samples", "5000"),
+          "--k", "2", "--alpha", "4", "--t-grid", "1", "--samples", "5000"),
          "critical mixture needs a finite positive xi"),
+        (("oracle", "--kind", "mixture", "--d", "2", "--k", "2", "--ell", "1", "--alpha", "4",
+          "--t-grid", "1", "--samples", "5000"),
+         "[oracle] --ell: a mixture sums its own blocks; drop --ell"),
         ((*count, "1", "--annulus", "1,nan"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1,-inf"), "annulus needs K < L"),
         ((*count, "1", "--annulus", "1"), "[count] --annulus: expected two numbers"),
@@ -689,6 +699,11 @@ def test_bad_input_is_a_typed_error_exit_2(capsys, tmp_path):
         ((*experiment, "experiment.t_ref=-inf"), "[experiment] t_ref: needs a finite value"),
         ((*experiment, "experiment.workers=-3"), "[experiment] workers: needs at least 1, got -3"),
         ((*experiment, "experiment.workers=0"), "[experiment] workers: needs at least 1, got 0"),
+        ((*experiment, "experiment.t_grid=0.5, inf"),
+         "[experiment] t_grid: needs a nonempty, finite, nonnegative and strictly ascending "
+         "list, got [0.5, inf]"),
+        ((*experiment, "experiment.master_seed=-5"),
+         "[experiment] master_seed: needs at least 0, got -5"),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")    # a numpy warning is not a typed error

@@ -339,8 +339,8 @@ def test_tail_integral_memoized(monkeypatch):
     first = density.log_tail_prob(R)
     assert len(calls) == 1
     assert density.log_tail_prob(R) == first == expected
-    _, total = density._exterior_inverse(R)
-    assert total == density._tail_ratio_integral(R)
+    density._exterior_inverse(R)
+    assert density._latest[0] == R and density._latest[1] == density._tail_ratio_integral(R)
     assert len(calls) == 1
 
 
@@ -368,7 +368,7 @@ def test_inverse_cdf_matches_pchip(density):
     """The bucketed evaluator reproduces scipy's PCHIP evaluation bit for bit."""
     rng = np.random.default_rng(17)
     tables = [density._radial_inverse()]
-    tables += [density._exterior_inverse(R)[0] for R in (0.7, 4.0, 25.0)]
+    tables += [density._exterior_inverse(R) for R in (0.7, 4.0, 25.0)]
     for inv in tables:
         u = _probe_points(inv, rng)
         got = inv.eval_chunk(u)
@@ -451,7 +451,7 @@ def _expected_sample(density, inv, shift, u, normals, tail):
 def _sampler_cases(density, R):
     """(draw, table, shift, tail) for the full and the exterior sampler."""
     return ((lambda g, n: density.sample(g, n), density._radial_inverse(), 0.0, True),
-            (lambda g, n: density.sample_exterior(g, n, R), density._exterior_inverse(R)[0], R,
+            (lambda g, n: density.sample_exterior(g, n, R), density._exterior_inverse(R), R,
              False))
 
 
@@ -533,15 +533,43 @@ def test_concurrent_clouds_share_one_helper_bit_for_bit(monkeypatch, power24, k2
 
 def test_exterior_table_is_kept_for_the_latest_radius_only():
     """A second radius replaces the first radius's table; the same radius
-    reuses it, and a rebuilt table has the same bits."""
+    reuses it, and a rebuilt table and tail integral have the same bits."""
     density = PowerLawDensity(2, 4.0)
-    first, total = density._exterior_inverse(2.0)
-    assert density._exterior_inverse(2.0)[0] is first
+    first = density._exterior_inverse(2.0)
+    total = density._latest[1]
+    assert density._exterior_inverse(2.0) is first
     density._exterior_inverse(3.0)
-    assert density._exterior[0] == 3.0
-    rebuilt, rebuilt_total = density._exterior_inverse(2.0)
-    assert rebuilt is not first and rebuilt_total == total
+    assert density._latest[0] == 3.0
+    rebuilt = density._exterior_inverse(2.0)
+    assert rebuilt is not first and density._latest == (2.0, total, rebuilt)
     assert np.array_equal(rebuilt.r, first.r) and np.array_equal(rebuilt.cdf, first.cdf)
+
+
+def test_one_radius_record_serves_the_tail_and_the_sampler(monkeypatch):
+    """``log_tail_prob(R)`` then ``sample_exterior(R)`` runs the tail rule
+    once and builds one table; a sweep over many radii leaves one record."""
+    from rgglab import densities
+
+    rules, tables = [], []
+    rule, table = densities.gauss_legendre, densities._InverseCdf
+    monkeypatch.setattr(densities, "gauss_legendre",
+                        lambda *a, **kw: rules.append(1) or rule(*a, **kw))
+    monkeypatch.setattr(densities, "_InverseCdf",
+                        lambda *a, **kw: tables.append(1) or table(*a, **kw))
+    density = PowerLawDensity(2, 4.0)
+    R = 3.5
+    density.log_tail_prob(R)
+    for seed in range(3):
+        density.sample_exterior(np.random.default_rng(seed), 50, R)
+        density.log_tail_prob(R)
+    assert (len(rules), len(tables)) == (1, 1)
+    radii = np.linspace(1.0, 40.0, 300)
+    for r in radii:
+        density.log_tail_prob(float(r))
+    assert len(rules) == 301
+    assert density._latest[0] == radii[-1] and density._latest[2] is None
+    assert [name for name, value in vars(density).items()
+            if isinstance(value, (dict, list))] == []
 
 
 def test_one_chunk_cloud_fills_inline(monkeypatch, power24):

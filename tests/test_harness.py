@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import threading
+from collections import Counter
 from concurrent.futures import Future
 
 import numpy as np
@@ -18,6 +19,7 @@ from rgglab.densities import (
     CoreSchedule,
     PoissonLayerSchedule,
     PowerSchedule,
+    RadiusSchedule,
     WeakCoreSchedule,
     sample_poisson_cloud,
     weak_core_radius,
@@ -40,7 +42,12 @@ from rgglab.harness import (
     write_report,
 )
 from rgglab.limits import exact_pair_cumulants
-from rgglab.regimes import BoundaryRegimeError
+from rgglab.regimes import (
+    BoundaryRegimeError,
+    check_growth_condition,
+    classify_regime,
+    evidence_grid,
+)
 
 
 def small_cfg(power24, k2, **kw):
@@ -204,9 +211,38 @@ def test_clt_refuses_boundary_schedule(power24, k2):
     for key, value in (("band", (1.2, 0.8)), ("band", (math.nan, 2.0)),
                        ("annulus", (2.0, 1.0)), ("annulus", (1.0, math.nan)),
                        ("t_ref", math.nan), ("t_ref", math.inf), ("workers", 0),
-                       ("workers", -3)):
+                       ("workers", -3), ("t_grid", []), ("t_grid", [1.0, 0.6]),
+                       ("t_grid", [0.6, math.inf]), ("master_seed", -5)):
         with pytest.raises(ExperimentError, match=f"^{key}: "):
             small_cfg(power24, k2, **{key: value})
+
+
+class _CountingSchedule(RadiusSchedule):
+    """``PowerSchedule(beta=0.3)``, recording each n it is asked to solve."""
+
+    def __init__(self):
+        self.calls = []
+
+    def radius(self, density, n):
+        self.calls.append(float(n))
+        return PowerSchedule(beta=0.3).radius(density, n)
+
+
+def test_each_evidence_radius_is_solved_once(power24, k2):
+    """Classification keeps the radii it solves, and the growth check and
+    the CLT experiment's regime step read them instead of solving again."""
+    grid = evidence_grid((1e2, 1e5)).tolist()
+    schedule = _CountingSchedule()
+    regime = classify_regime(power24, schedule, (1e2, 1e5))
+    assert check_growth_condition(power24, regime, 2).passed
+    assert schedule.calls == grid
+    assert regime.r_values.tolist() == [PowerSchedule(beta=0.3).radius(power24, n)
+                                        for n in grid]
+    schedule = _CountingSchedule()
+    cfg = small_cfg(power24, k2, schedule=schedule, classify_n_range=(1e2, 1e5),
+                    replications=2)
+    run_clt_experiment(cfg)
+    assert Counter(schedule.calls) == Counter(grid + list(cfg.n_ladder))
 
 
 def test_default_classify_range_steps_up_to_the_schedule(power24, k2):
@@ -394,8 +430,13 @@ def test_write_report_csvs(power24, k2, tmp_path):
     files = write_report(rep, tmp_path)
     raw = (tmp_path / "raw_curves.csv").read_text().splitlines()
     assert raw[0] == "n,seed,t,count_h,count_plus,count_minus"
-    # rows: rungs * replications * grid points
+    # rows: rungs * replications * grid points, written from the rungs' curves
     assert len(raw) - 1 == 2 * 20 * 2
+    assert raw[1:] == [f"{rung['n']!r},{i},{t!r},{h[j]},{p[j]},{m[j]}"
+                       for rung in rep.rungs
+                       for i, (h, p, m) in enumerate(zip(rung["curves"], rung["plus"],
+                                                         rung["minus"]))
+                       for j, t in enumerate(cfg.t_grid.tolist())]
     assert (tmp_path / "manifest.json").exists()
     assert (tmp_path / "oracle_covariance.csv").read_text().startswith("# provenance")
 

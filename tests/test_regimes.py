@@ -53,17 +53,21 @@ def test_unclassifiable(power24):
         classify_regime(power24, _WigglySchedule(), (1e2, 1e5))
 
 
+def _growth(density, schedule, k, n_range):
+    return check_growth_condition(density, classify_regime(density, schedule, n_range), k)
+
+
 def test_growth_condition(power24, vm21):
     # exponent k(1 - alpha beta) + d beta: beta=0.3 -> +0.2, beta=0.4 -> -0.4
-    assert check_growth_condition(power24, PowerSchedule(beta=0.3), 2, (1e2, 1e6)).passed
-    assert not check_growth_condition(power24, PowerSchedule(beta=0.4), 2, (1e2, 1e6)).passed
+    assert _growth(power24, PowerSchedule(beta=0.3), 2, (1e2, 1e6)).passed
+    assert not _growth(power24, PowerSchedule(beta=0.4), 2, (1e2, 1e6)).passed
     # boundary case: the Poisson-layer schedule pins the product at 1
-    report = check_growth_condition(power24, PoissonLayerSchedule(k=2), 2, (1e3, 1e7))
+    report = _growth(power24, PoissonLayerSchedule(k=2), 2, (1e3, 1e7))
     assert not report.passed
     assert abs(report.final_decade_gain) < 1e-6
     assert np.allclose(report.log_products, 0.0, atol=1e-8)
     # the light-tail product n^k a(R) R^{d-1} f^k is pinned at 1 by its own layer
-    report = check_growth_condition(vm21, PoissonLayerSchedule(k=2), 2, (1e3, 1e7))
+    report = _growth(vm21, PoissonLayerSchedule(k=2), 2, (1e3, 1e7))
     assert not report.passed
     assert np.allclose(report.log_products, 0.0, atol=1e-8)
 
@@ -122,4 +126,4 @@ def test_standardize():
 def test_regime_class_validation():
     with pytest.raises(ValueError):
         RegimeClass(tag=CRITICAL, xi=None, n_values=np.array([1.0]),
-                    q_values=np.array([1.0]))
+                    r_values=np.array([1.0]), q_values=np.array([1.0]))
